@@ -595,6 +595,11 @@ impl<S> Broadcast<S> {
         self.sinks.is_empty()
     }
 
+    /// The children, in order (e.g. to snapshot each simulator mid-stream).
+    pub fn sinks(&self) -> &[S] {
+        &self.sinks
+    }
+
     /// Take the children back (e.g. to `finish()` each simulator).
     pub fn into_inner(self) -> Vec<S> {
         self.sinks

@@ -38,7 +38,9 @@
 //! * `--sampled` — SMARTS-style sampled simulation: each cell simulates a
 //!   detailed warm-up + measurement unit at the head of every sampling
 //!   period and functionally fast-forwards the rest, so wall-clock scales
-//!   with the number of samples instead of the workload length. Cells are
+//!   with the number of samples instead of the workload length. Like
+//!   fan-out, each `(workload, ISA)` group interprets and fast-forwards its
+//!   workload once for all member machines. Cells are
 //!   IPC *estimates* with 95% confidence intervals (reported in a `sampling`
 //!   results section); `--sample-period 0` measures everything and is
 //!   byte-identical to `--streamed`
@@ -49,7 +51,8 @@
 //!   cell at every sampling period boundary (sampled runs only)
 //! * `--resume` — resume cells from the checkpoint files in
 //!   `--checkpoint-dir` instead of starting over (the completed run is
-//!   byte-identical to an uninterrupted one)
+//!   byte-identical to an uninterrupted one; a fan-out group resumes only
+//!   when all of its members' files are present)
 //! * `--sweep-dims SPEC` — override the `sweep` experiment's grid, e.g.
 //!   `rob=16,32:lat=1,50:way=4,8` (axes: `rob`, `lat`, `way`; omitted axes
 //!   keep their defaults)
@@ -146,10 +149,13 @@ builds and replays traces. All three are byte-identical in their results.
 --sampled trades exactness for wall-clock: per sampling period (default
 100000 insts) it simulates a detailed warm-up (2000) plus a measured unit
 (1000) and fast-forwards the rest, reporting per-cell IPC estimates with
-95% confidence intervals in a `sampling` results section. --sample-period 0
-measures every instruction and is byte-identical to --streamed. With
+95% confidence intervals in a `sampling` results section. Like fan-out it
+interprets (and fast-forwards) each (workload, ISA) group once, giving
+every member machine its own detailed windows. --sample-period 0 measures
+every instruction and is byte-identical to --streamed. With
 --checkpoint-dir, kernel cells persist a resumable checkpoint every period;
---resume continues from those files bit-exactly.
+--resume continues from those files bit-exactly (a group resumes only when
+all of its members' files are present; otherwise it starts over).
 
 --sweep-dims overrides the sweep grid, e.g. rob=16,32:lat=1,50:way=4,8.
 

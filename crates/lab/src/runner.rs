@@ -20,9 +20,11 @@
 //!   straight into its own simulator, O(ROB) per cell.
 //! * [`ExecMode::Materialized`] — the classic two-stage path: build every
 //!   distinct `(workload, ISA)` trace once, then replay it per cell.
-//! * [`ExecMode::Sampled`] — SMARTS-style statistical sampling: each cell
-//!   alternates detailed warm-up and measurement windows with functional
-//!   fast-forwarding, so wall-clock scales with the number of samples
+//! * [`ExecMode::Sampled`] — SMARTS-style statistical sampling over the
+//!   same fan-out groups: each group interprets its workload once, every
+//!   member machine simulates its own detailed warm-up and measurement
+//!   windows, and the functional fast-forward between windows runs once
+//!   for the whole group, so wall-clock scales with the number of samples
 //!   instead of the workload length. Results are **estimates** (reported
 //!   with per-cell confidence intervals in a `sampling` results section) —
 //!   except at sampling rate 1 (`period == 0`), which routes through the
@@ -119,6 +121,12 @@ pub enum ExecMode {
     /// the timing simulator sees nothing). Per-cell IPC is estimated as the
     /// mean of the unit IPCs with a 95% confidence interval; the cycle count
     /// in the results is `total_insts / ipc_mean`.
+    ///
+    /// The work unit is the [`ExecMode::Fanout`] group: one functional pass
+    /// (and, for kernels, one fast-forward per period) serves every member
+    /// machine of a `(workload, ISA)` group, while each member is fed
+    /// exactly the detailed windows it would see alone — so a cell's
+    /// estimate never depends on which machines share its group.
     ///
     /// `period == 0` is the **rate-1 sentinel**: every instruction is
     /// simulated in detail and the run routes through the exact streamed
@@ -286,16 +294,17 @@ pub struct RunResult {
     /// Per-cell wall-clock simulation time in nanoseconds, parallel to the
     /// grid cells (empty for static experiments). Feeds the `insts_per_sec`
     /// throughput figures of the JSON `meta` section; like all wall-clock
-    /// data it lives outside the deterministic results. In fan-out mode every
-    /// member of a `(workload, ISA)` group carries the group's shared span.
+    /// data it lives outside the deterministic results. In fan-out and
+    /// sampled mode every member of a `(workload, ISA)` group carries the
+    /// group's shared span.
     pub cell_wall_ns: Vec<u64>,
     /// Total wall-clock nanoseconds of the distinct simulation work units
-    /// (cells, or groups in fan-out mode). Unlike summing `cell_wall_ns`,
-    /// this never counts a shared group span more than once.
+    /// (cells, or groups in fan-out and sampled mode). Unlike summing
+    /// `cell_wall_ns`, this never counts a shared group span more than once.
     pub sim_wall_ns: u64,
     /// Number of functional interpreter passes the run performed: one per
-    /// fan-out group in fan-out mode (per `(kernel, ISA)` for kernels, per
-    /// *app* for applications — their scalar phases interpret once across
+    /// fan-out group in fan-out and sampled mode (per `(kernel, ISA)` for
+    /// kernels, per *app* for applications — their scalar phases interpret once across
     /// all ISA lanes), one per distinct `(workload, ISA)` pair in
     /// materialized mode, one per cell in streamed mode. Zero for static
     /// experiments.
@@ -309,12 +318,12 @@ pub struct RunResult {
     /// scheduler ran: [`ExecMode::Fanout`] with 2+ workers). All wall-clock
     /// derived — `meta`-only, never part of the deterministic results.
     pub pipeline: Option<PipelineStats>,
-    /// Scheduler spans recorded by the fan-out runner: one per work item
-    /// (serial group, interpreter, consumer shard) with wall-clock extent,
-    /// channel wait time and the worker that executed it. Feeds `meta.spans`
-    /// and the Chrome trace export of `momlab run --trace-out`. Wall-clock
-    /// data, so `meta`-only; empty in streamed/materialized modes and for
-    /// static experiments.
+    /// Scheduler spans recorded by the fan-out and sampled runners: one per
+    /// work item (serial group, interpreter, consumer shard) with wall-clock
+    /// extent, channel wait time and the worker that executed it. Feeds
+    /// `meta.spans` and the Chrome trace export of `momlab run --trace-out`.
+    /// Wall-clock data, so `meta`-only; empty in streamed/materialized modes
+    /// (and the sampled rate-1 sentinel) and for static experiments.
     pub spans: Vec<SpanRec>,
     /// Machine-pool reuse accounting: machines reset-and-reused versus built
     /// fresh across all workers (`meta.pool`; wall-clock-free but scheduling
@@ -339,7 +348,7 @@ pub struct RunResult {
     pub data: RunData,
 }
 
-/// One recorded span of the fan-out scheduler: a work item's identity,
+/// One recorded span of the fan-out or sampled scheduler: a work item's identity,
 /// wall-clock extent relative to the grid run's epoch, and — for consumer
 /// shards — the time spent blocked on the batch channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -448,12 +457,15 @@ pub fn run_with_mode_progress(
 /// [`ExecMode::Sampled`] runs with a nonzero period checkpoint; every other
 /// mode ignores this configuration. Files are rewritten atomically at most
 /// every `CKPT_INTERVAL_INSTS` (~10M) executed instructions, plus once at
-/// cell completion.
+/// cell completion. Cells checkpoint as their fan-out group: every member's
+/// file is written at the same instruction index, and a group resumes only
+/// when all of its members' files load and agree on that index (otherwise
+/// it starts from zero).
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Directory the checkpoint files live in (created if missing).
     pub dir: PathBuf,
-    /// Resume cells from existing checkpoint files instead of starting over.
+    /// Resume groups from existing checkpoint files instead of starting over.
     /// A checkpoint file that does not match the spec, cell or sampling
     /// parameters fails loudly rather than silently corrupting the run.
     pub resume: bool,
@@ -917,6 +929,67 @@ fn run_fan_group_serial(
     }
 }
 
+/// Run every fan-out group as one work item on `workers` threads: each
+/// item takes its members' machines from the worker's pool, calls
+/// `run_group` (which returns per-lane member results plus the instructions
+/// it interpreted), and returns the machines. The member results are
+/// scattered back into cell order, and the run's accounting — one
+/// functional pass, one `serial` span and one shared wall-clock span per
+/// group — lands in `timing`. Shared by the one-worker fan-out arm and the
+/// sampled arm.
+fn run_groups(
+    grid: &GridSpec,
+    cells: &[Cell],
+    groups: &[FanGroup],
+    workers: usize,
+    counters: &PoolCounters,
+    timing: &mut GridTiming,
+    run_group: impl Fn(&FanGroup, &mut [Vec<SimMachine>]) -> (Vec<Vec<CellSim>>, u64) + Sync,
+) -> Vec<CellSim> {
+    let epoch = Instant::now();
+    let next_tid = AtomicUsize::new(0);
+    let outcomes = parallel_map_with(
+        groups,
+        workers,
+        || (MachinePool::new(counters), next_tid.fetch_add(1, Ordering::Relaxed)),
+        group_label,
+        |(pool, tid), group| {
+            let start_ns = epoch.elapsed().as_nanos() as u64;
+            let started = Instant::now();
+            let mut lane_machines = take_lane_machines(grid, cells, group, pool);
+            let (lane_sims, executed) = run_group(group, &mut lane_machines);
+            let ns = started.elapsed().as_nanos() as u64;
+            pool.put(lane_machines.into_iter().flatten());
+            (lane_sims, ns, executed, start_ns, *tid)
+        },
+    );
+    let mut slots: Vec<Option<CellSim>> = vec![None; cells.len()];
+    timing.cell_wall_ns = vec![0; cells.len()];
+    for (group, (lane_sims, ns, executed, start_ns, tid)) in groups.iter().zip(outcomes) {
+        timing.sim_wall_ns += ns;
+        timing.functional_passes += 1;
+        timing.functional_instructions += executed;
+        timing.spans.push(SpanRec {
+            name: group_label(group),
+            cat: "serial",
+            tid,
+            start_ns,
+            dur_ns: ns,
+            wait_ns: 0,
+            insts: executed,
+        });
+        for ((_, members), sims) in group.lanes.iter().zip(lane_sims) {
+            for (&ci, sim) in members.iter().zip(sims) {
+                slots[ci] = Some(sim);
+                timing.cell_wall_ns[ci] = ns;
+            }
+        }
+    }
+    // With 2+ workers groups finish out of order; keep spans chronological.
+    timing.spans.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then_with(|| a.name.cmp(&b.name)));
+    slots.into_iter().map(|s| s.expect("every cell belongs to one group")).collect()
+}
+
 /// One work item of the pipelined fan-out scheduler. Items live in
 /// `Mutex<Option<_>>` slots and are *moved out* when claimed; an item
 /// dropped unexecuted (abort path) closes its channel endpoints, which
@@ -1357,7 +1430,7 @@ fn raise_labeled(label: &str, payload: Box<dyn std::any::Any + Send>) -> ! {
     panic!("experiment work item `{label}` panicked: {msg}");
 }
 
-/// The three knobs of one sampled run, bundled for the per-cell helpers.
+/// The three knobs of one sampled run, bundled for the group helpers.
 #[derive(Debug, Clone, Copy)]
 struct SamplingParams {
     unit: u64,
@@ -1478,7 +1551,7 @@ fn sampled_estimate(
 /// [`Checkpoint`] blob to a spec, cell and sampling parameters).
 const LAB_CKPT_VERSION: u32 = 1;
 
-/// Minimum executed instructions between two checkpoint writes of one cell.
+/// Minimum executed instructions between two checkpoint writes of one group.
 /// A checkpoint costs O(touched working set) to serialize, so writing one at
 /// every sampling period (default 100k instructions, ~1 ms of simulation)
 /// would spend more time persisting state than simulating. Cells shorter
@@ -1540,9 +1613,10 @@ fn decode_lab_ckpt(bytes: &[u8]) -> Result<(String, String, u64, u64, u64, Check
 }
 
 /// Load one cell's checkpoint if its file exists. A missing file means
-/// "start fresh"; a file that fails to decode, or matches a different spec,
-/// cell or sampling parameters, panics with the path — silently restarting
-/// (or worse, resuming into the wrong run) would corrupt the results.
+/// "start fresh" (for the cell's whole group); a file that fails to decode,
+/// or matches a different spec, cell or sampling parameters, panics with the
+/// path — silently restarting (or worse, resuming into the wrong run) would
+/// corrupt the results.
 fn load_cell_checkpoint(ctx: &CkptContext, key: &str) -> Option<Checkpoint> {
     let path = ckpt_path(ctx, key);
     let bytes = match std::fs::read(&path) {
@@ -1646,40 +1720,58 @@ fn restore_kernel_cell(
     Ok((cursor, probe, warmup_done, units))
 }
 
-/// Run one kernel cell in sampled mode: a detailed warm-up + measured unit at
-/// the head of every sampling period, functional fast-forward for the
-/// remainder, with optional checkpoint persistence at period boundaries.
+/// Run one kernel fan-out group in sampled mode: a single functional pass
+/// of the kernel, with every member machine seeing its own detailed warm-up
+/// + measured unit at the head of every sampling period.
 ///
-/// Each detailed window opens a fresh [`SimStream`] on the cell's machine and
-/// closes it before fast-forwarding; the engine state, probe and warm memory
-/// carry over, so consecutive detailed windows time exactly as they would in
-/// one continuous stream (the machine-level resume test in `mom-cpu` pins
-/// that equivalence). Placing the detailed window at the *head* of each
-/// period — rather than fast-forwarding first — means a workload shorter
-/// than one warm-up window is simulated entirely in detail and reports its
-/// exact result.
-fn run_sampled_kernel_cell(
+/// The kernel is built and decoded once. Each detailed window streams into
+/// a [`Broadcast`] of the members' freshly opened [`SimStream`]s, which are
+/// snapshotted around the unit and closed before the group's single
+/// fast-forward; each member's engine state, probe and warm memory carry
+/// over, so consecutive detailed windows time exactly as they would in one
+/// continuous stream (the machine-level resume test in `mom-cpu` pins that
+/// equivalence). Placing the detailed window at the *head* of each period —
+/// rather than fast-forwarding first — means a workload shorter than one
+/// warm-up window is simulated entirely in detail and reports its exact
+/// result. Every member sees exactly the windows a group of one would feed
+/// it, so its result does not depend on its group-mates.
+///
+/// With a [`CkptContext`] every member's checkpoint file is written at the
+/// same instruction index. A resume restores the group only when every
+/// member's file loads and all agree on that index; otherwise the group
+/// starts from zero. Returns the lane's member results plus the number of
+/// instructions the interpreter executed.
+fn sample_kernel_group(
     kernel: KernelKind,
-    isa: IsaKind,
     grid: &GridSpec,
-    machine: &mut SimMachine,
+    cells: &[Cell],
+    group: &FanGroup,
+    lane_machines: &mut [Vec<SimMachine>],
     sp: SamplingParams,
-    ckpt: Option<(&CkptContext, String)>,
-) -> CellSim {
+    ckpt: Option<&CkptContext>,
+) -> (Vec<Vec<CellSim>>, u64) {
+    let (isa, members) = &group.lanes[0];
+    let machines = &mut lane_machines[0];
+    let keys: Vec<String> = members.iter().map(|&ci| cell_key(grid, &cells[ci])).collect();
     let params = KernelParams { seed: grid.seed, scale: grid.scale };
     let BuiltKernel { machine: mut arch, program, expected, output_addr, .. } =
-        build_kernel(kernel, isa, &params);
+        build_kernel(kernel, *isa, &params);
     let decoded = program.decode();
     let mut cursor = ExecCursor::start();
-    let mut probe: Option<AttributionProbe> = None;
-    let mut units: Vec<UnitDelta> = Vec::new();
+    let mut probes: Vec<Option<AttributionProbe>> =
+        std::iter::repeat_with(|| None).take(members.len()).collect();
+    let mut units: Vec<Vec<UnitDelta>> = vec![Vec::new(); members.len()];
     let mut executed = 0u64;
     let mut warmup_done = 0u64;
-    if let Some((ctx, key)) = &ckpt {
-        if ctx.cfg.resume {
-            if let Some(c) = load_cell_checkpoint(ctx, key) {
-                let (cur, p, w, us) =
-                    restore_kernel_cell(&c, &mut arch, machine).unwrap_or_else(|e| {
+    if let Some(ctx) = ckpt.filter(|ctx| ctx.cfg.resume) {
+        let loaded: Option<Vec<Checkpoint>> =
+            keys.iter().map(|key| load_cell_checkpoint(ctx, key)).collect();
+        if let Some(saved) =
+            loaded.filter(|s| s.iter().all(|c| c.inst_index == s[0].inst_index))
+        {
+            for (m, (c, key)) in saved.iter().zip(&keys).enumerate() {
+                let (cur, p, w, us) = restore_kernel_cell(c, &mut arch, &mut machines[m])
+                    .unwrap_or_else(|e| {
                         panic!(
                             "checkpoint {} failed to restore: {e}; \
                              delete the file or rerun without --resume",
@@ -1687,55 +1779,135 @@ fn run_sampled_kernel_cell(
                         )
                     });
                 cursor = cur;
-                probe = Some(p);
+                probes[m] = Some(p);
                 warmup_done = w;
-                units = us;
-                executed = c.inst_index;
+                units[m] = us;
             }
+            executed = saved[0].inst_index;
         }
     }
     let mut last_saved = executed;
-    let (detailed, report) = loop {
-        let mut stream = match probe.take() {
-            Some(p) => machine.sim_probed_with(p),
-            None => machine.sim_probed(),
-        };
-        let w = decoded.stream_segment(&mut arch, &mut stream, &mut cursor, sp.warmup);
+    let detailed: Vec<SimResult> = loop {
+        let streams: Vec<SimStream<'_, AttributionProbe>> = machines
+            .iter_mut()
+            .zip(&mut probes)
+            .map(|(machine, probe)| match probe.take() {
+                Some(p) => machine.sim_probed_with(p),
+                None => machine.sim_probed(),
+            })
+            .collect();
+        let mut fan = Broadcast::new(streams);
+        let w = decoded.stream_segment(&mut arch, &mut fan, &mut cursor, sp.warmup);
         warmup_done += w;
-        let before = stream.snapshot();
-        let u = decoded.stream_segment(&mut arch, &mut stream, &mut cursor, sp.unit);
+        let before: Vec<SimResult> = fan.sinks().iter().map(SimStream::snapshot).collect();
+        let u = decoded.stream_segment(&mut arch, &mut fan, &mut cursor, sp.unit);
         executed += w + u;
-        // Closing the stream drains the ROB, so the delta holds the unit's
-        // complete retirement (plus any warm-up stragglers — acceptable: the
-        // warm-up exists precisely to make the unit steady-state).
-        let (partial, p) = stream.finish_probed();
-        let delta = UnitDelta::between(&before, &partial);
-        if delta.committed > 0 {
-            units.push(delta);
-        }
-        executed += decoded.fast_forward(&mut arch, &mut cursor, sp.period - sp.warmup - sp.unit);
+        // Closing a stream drains its ROB, so the delta holds the
+        // unit's complete retirement (plus any warm-up stragglers —
+        // acceptable: the warm-up exists precisely to make the unit
+        // steady-state).
+        let partial: Vec<SimResult> = fan
+            .into_inner()
+            .into_iter()
+            .zip(&before)
+            .zip(units.iter_mut().zip(&mut probes))
+            .map(|((stream, before), (units, probe))| {
+                let (partial, p) = stream.finish_probed();
+                let delta = UnitDelta::between(before, &partial);
+                if delta.committed > 0 {
+                    units.push(delta);
+                }
+                *probe = Some(p);
+                partial
+            })
+            .collect();
+        executed +=
+            decoded.fast_forward(&mut arch, &mut cursor, sp.period - sp.warmup - sp.unit);
         let done = cursor.is_done(&decoded);
-        if let Some((ctx, key)) = &ckpt {
+        if let Some(ctx) = ckpt {
             if done || executed.saturating_sub(last_saved) >= CKPT_INTERVAL_INSTS {
-                let c = build_checkpoint(&arch, cursor, machine, &p, &units, warmup_done, executed);
-                save_cell_checkpoint(ctx, key, &c);
+                for (m, key) in keys.iter().enumerate() {
+                    let probe = probes[m].as_ref().expect("closed streams return probes");
+                    let c = build_checkpoint(
+                        &arch, cursor, &machines[m], probe, &units[m], warmup_done, executed,
+                    );
+                    save_cell_checkpoint(ctx, key, &c);
+                }
                 last_saved = executed;
             }
         }
         if done {
-            // The SimResult counters live in the engine state, so the last
-            // close reports the cumulative detailed totals — including
-            // windows replayed from a restored checkpoint.
-            break (partial, p.into_report());
+            // The SimResult counters live in the engine state, so
+            // the last close reports the cumulative detailed totals
+            // — including windows replayed from a restored
+            // checkpoint.
+            break partial;
         }
-        probe = Some(p);
     };
     let actual = arch.mem().read_bytes(output_addr, expected.len());
     if let Some(offset) = actual.iter().zip(expected.iter()).position(|(a, e)| a != e) {
         panic!("{kernel} ({isa}) failed verification: output mismatch at byte offset {offset}");
     }
-    let (sim, sampling) = sampled_estimate(&detailed, &units, executed, warmup_done);
-    CellSim { sim, probe: report, mem: machine.mem_stats(), sampling: Some(sampling) }
+    let sims = detailed
+        .iter()
+        .zip(units)
+        .zip(probes)
+        .zip(machines.iter())
+        .map(|(((detailed, units), probe), machine)| {
+            let (sim, sampling) = sampled_estimate(detailed, &units, executed, warmup_done);
+            let probe = probe.expect("closed streams return probes").into_report();
+            CellSim { sim, probe, mem: machine.mem_stats(), sampling: Some(sampling) }
+        })
+        .collect();
+    (vec![sims], executed)
+}
+
+/// Run one application fan-out group in sampled mode: [`stream_app_multi`]
+/// drives one [`Broadcast`] of [`SampledSink`]s per ISA lane, so the scalar
+/// phases interpret once for all lanes and every member samples its own
+/// copy of its lane's stream. App groups do not checkpoint: their
+/// wall-clock is interpreter-bound either way (the interpretation is
+/// complete; only the detailed simulation is sampled), and the multi-phase
+/// app drivers have no externally resumable cursor.
+fn sample_app_group(
+    app: AppKind,
+    grid: &GridSpec,
+    group: &FanGroup,
+    lane_machines: &mut [Vec<SimMachine>],
+    sp: SamplingParams,
+) -> (Vec<Vec<CellSim>>, u64) {
+    let mut lanes: Vec<(IsaKind, Broadcast<SampledSink<'_>>)> = group
+        .lanes
+        .iter()
+        .zip(lane_machines.iter_mut())
+        .map(|((isa, _), machines)| {
+            let sinks = machines.iter_mut().map(|m| SampledSink::new(m.sim_probed(), sp));
+            (*isa, Broadcast::new(sinks.collect()))
+        })
+        .collect();
+    let params = AppParams { seed: grid.seed, scale: grid.scale };
+    let (_, interpreted) = stream_app_multi(app, &params, &mut lanes)
+        .unwrap_or_else(|e| panic!("{app} failed to build: {e}"));
+    let finished: Vec<Vec<(SimResult, ProbeReport, CellSampling)>> = lanes
+        .into_iter()
+        .map(|(_, fan)| fan.into_inner().into_iter().map(SampledSink::finish).collect())
+        .collect();
+    let sims = finished
+        .into_iter()
+        .zip(lane_machines.iter())
+        .map(|(lane, machines)| {
+            lane.into_iter()
+                .zip(machines)
+                .map(|((sim, probe, sampling), machine)| CellSim {
+                    sim,
+                    probe,
+                    mem: machine.mem_stats(),
+                    sampling: Some(sampling),
+                })
+                .collect()
+        })
+        .collect();
+    (sims, interpreted)
 }
 
 /// A sampling adapter between the functional interpreter and a cell's
@@ -1752,8 +1924,8 @@ fn run_sampled_kernel_cell(
 /// a sample. Unlike the kernel path the stream is never closed mid-run, so
 /// unit deltas are measured between lagging snapshots (both ends lag by the
 /// in-flight ROB, so the window length is preserved).
-struct SampledSink<'s, 'm> {
-    stream: &'s mut SimStream<'m, AttributionProbe>,
+struct SampledSink<'m> {
+    stream: SimStream<'m, AttributionProbe>,
     sp: SamplingParams,
     /// Position inside the current sampling period.
     pos: u64,
@@ -1764,7 +1936,11 @@ struct SampledSink<'s, 'm> {
     units: Vec<UnitDelta>,
 }
 
-impl SampledSink<'_, '_> {
+impl<'m> SampledSink<'m> {
+    fn new(stream: SimStream<'m, AttributionProbe>, sp: SamplingParams) -> Self {
+        Self { stream, sp, pos: 0, executed: 0, warmup_done: 0, unit_open: None, units: Vec::new() }
+    }
+
     fn step(&mut self, inst: &DynInst) {
         let in_warmup = self.pos < self.sp.warmup;
         let in_unit = !in_warmup && self.pos < self.sp.warmup + self.sp.unit;
@@ -1796,15 +1972,18 @@ impl SampledSink<'_, '_> {
         }
     }
 
-    /// Close a dangling unit (a workload that ended mid-window) and hand back
-    /// the tallies.
-    fn into_tallies(mut self) -> (u64, u64, Vec<UnitDelta>) {
+    /// Close a dangling unit (a workload that ended mid-window), finish the
+    /// stream and turn the closed units into the cell's estimate.
+    fn finish(mut self) -> (SimResult, ProbeReport, CellSampling) {
         self.close_unit();
-        (self.executed, self.warmup_done, self.units)
+        let (detailed, probe) = self.stream.finish_probed();
+        let (sim, sampling) =
+            sampled_estimate(&detailed, &self.units, self.executed, self.warmup_done);
+        (sim, probe.into_report(), sampling)
     }
 }
 
-impl TraceSink for SampledSink<'_, '_> {
+impl TraceSink for SampledSink<'_> {
     fn emit(&mut self, inst: DynInst) {
         self.step(&inst);
     }
@@ -1818,37 +1997,6 @@ impl TraceSink for SampledSink<'_, '_> {
             self.step(inst);
         }
     }
-}
-
-/// Run one application cell in sampled mode through a [`SampledSink`]. App
-/// cells do not checkpoint: their wall-clock is interpreter-bound either way
-/// (the interpretation is complete; only the detailed simulation is
-/// sampled), so a checkpoint would save little and the multi-phase app
-/// drivers have no externally resumable cursor.
-fn run_sampled_app_cell(
-    app: AppKind,
-    isa: IsaKind,
-    grid: &GridSpec,
-    machine: &mut SimMachine,
-    sp: SamplingParams,
-) -> CellSim {
-    let params = AppParams { seed: grid.seed, scale: grid.scale };
-    let mut stream = machine.sim_probed();
-    let mut sink = SampledSink {
-        stream: &mut stream,
-        sp,
-        pos: 0,
-        executed: 0,
-        warmup_done: 0,
-        unit_open: None,
-        units: Vec::new(),
-    };
-    stream_app(app, isa, &params, &mut sink)
-        .unwrap_or_else(|e| panic!("{app} ({isa}) failed to build: {e}"));
-    let (executed, warmup_done, units) = sink.into_tallies();
-    let (detailed, p) = stream.finish_probed();
-    let (sim, sampling) = sampled_estimate(&detailed, &units, executed, warmup_done);
-    CellSim { sim, probe: p.into_report(), mem: machine.mem_stats(), sampling: Some(sampling) }
 }
 
 fn run_grid(
@@ -1913,8 +2061,8 @@ fn run_grid(
     // section can report simulator throughput (insts_per_sec) per cell. In
     // materialized mode the measured span is the trace replay alone; in
     // streamed mode it is the fused per-cell interpret+simulate pass; in
-    // fan-out mode it is the shared group pass (every member of a group
-    // carries the same span — see EXPERIMENTS.md).
+    // fan-out and sampled mode it is the shared group pass (every member of
+    // a group carries the same span — see EXPERIMENTS.md).
     let counters = PoolCounters::default();
     let mut timing = GridTiming::default();
     let active_sims: Vec<CellSim> = if active.is_empty() {
@@ -1927,46 +2075,9 @@ fn run_grid(
                 // One worker: the serial Broadcast path — each group's
                 // interpreter drives all member simulators on this thread,
                 // no channels, no extra threads.
-                let epoch = Instant::now();
-                let outcomes = parallel_map_with(
-                    &groups,
-                    1,
-                    || MachinePool::new(&counters),
-                    group_label,
-                    |pool, group| {
-                        let start_ns = epoch.elapsed().as_nanos() as u64;
-                        let started = Instant::now();
-                        let mut lane_machines = take_lane_machines(grid, &active, group, pool);
-                        let (lane_sims, executed) =
-                            run_fan_group_serial(grid, group, &mut lane_machines);
-                        let ns = started.elapsed().as_nanos() as u64;
-                        pool.put(lane_machines.into_iter().flatten());
-                        (lane_sims, ns, executed, start_ns)
-                    },
-                );
-                let mut slots: Vec<Option<CellSim>> = vec![None; active.len()];
-                timing.cell_wall_ns = vec![0; active.len()];
-                for (group, (lane_sims, ns, executed, start_ns)) in groups.iter().zip(outcomes) {
-                    timing.sim_wall_ns += ns;
-                    timing.functional_passes += 1;
-                    timing.functional_instructions += executed;
-                    timing.spans.push(SpanRec {
-                        name: group_label(group),
-                        cat: "serial",
-                        tid: 0,
-                        start_ns,
-                        dur_ns: ns,
-                        wait_ns: 0,
-                        insts: executed,
-                    });
-                    for ((_, members), sims) in group.lanes.iter().zip(lane_sims) {
-                        for (&ci, sim) in members.iter().zip(sims) {
-                            slots[ci] = Some(sim);
-                            timing.cell_wall_ns[ci] = ns;
-                        }
-                    }
-                }
-                slots.into_iter().map(|s| s.expect("every cell belongs to one group")).collect()
+                run_groups(grid, &active, &groups, 1, &counters, &mut timing, |group, machines| {
+                    run_fan_group_serial(grid, group, machines)
+                })
             } else {
                 run_fanout_pipelined(grid, &active, &groups, workers, &counters, progress, &mut timing)
             }
@@ -2060,45 +2171,19 @@ fn run_grid(
         }
         ExecMode::Sampled { unit_insts, warmup_insts, period } => {
             // SMARTS-style sampling (period >= 1; period 0 took the streamed
-            // arm above): each cell alternates detailed windows with
-            // functional fast-forwarding, one cell per work item.
+            // arm above): each fan-out group interprets its workload once
+            // and every member alternates its own detailed windows with the
+            // group's shared functional fast-forward.
             let sp = SamplingParams { unit: unit_insts, warmup: warmup_insts, period };
-            let outcomes = parallel_map_with(
-                &active,
-                workers,
-                || MachinePool::new(&counters),
-                |cell| cell_label(grid, cell),
-                |pool, cell| {
-                    let config = &grid.configs[cell.config];
-                    let started = Instant::now();
-                    let mut machine = pool.take(&descriptor_of(cell));
-                    let cs = match cell.workload {
-                        Workload::Kernel(kernel) => run_sampled_kernel_cell(
-                            kernel,
-                            config.isa,
-                            grid,
-                            &mut machine,
-                            sp,
-                            ckpt.map(|ctx| (ctx, cell_key(grid, cell))),
-                        ),
-                        Workload::App(app) => {
-                            run_sampled_app_cell(app, config.isa, grid, &mut machine, sp)
-                        }
-                    };
-                    let ns = started.elapsed().as_nanos() as u64;
-                    pool.put([machine]);
-                    (cs, ns)
-                },
-            );
-            timing.functional_passes = active.len();
-            let mut sims = Vec::with_capacity(active.len());
-            for (cs, ns) in outcomes {
-                timing.cell_wall_ns.push(ns);
-                timing.sim_wall_ns += ns;
-                timing.functional_instructions += cs.sim.committed;
-                sims.push(cs);
-            }
-            sims
+            let groups = fanout_groups(grid, &active);
+            run_groups(grid, &active, &groups, workers, &counters, &mut timing, |group, machines| {
+                match group.workload {
+                    Workload::Kernel(kernel) => {
+                        sample_kernel_group(kernel, grid, &active, group, machines, sp, ckpt)
+                    }
+                    Workload::App(app) => sample_app_group(app, grid, group, machines, sp),
+                }
+            })
         }
         }
     };
@@ -2492,8 +2577,8 @@ impl RunResult {
             ));
         }
         if !self.spans.is_empty() {
-            // Scheduler span trace (fan-out modes only): one entry per work
-            // item, chronological. Informational — never diffed.
+            // Scheduler span trace (fan-out and sampled modes): one entry per
+            // work item, chronological. Informational — never diffed.
             meta_members.push((
                 "spans",
                 Value::Array(self.spans.iter().map(span_json).collect()),

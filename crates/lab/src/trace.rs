@@ -1,7 +1,7 @@
 //! Chrome trace-event export of the runner's scheduler spans.
 //!
 //! [`chrome_trace`] turns the per-run [`SpanRec`] lists collected by the
-//! fan-out scheduler into the Trace Event Format consumed by
+//! fan-out and sampled schedulers into the Trace Event Format consumed by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one process
 //! per experiment spec, one track (`tid`) per worker thread, one complete
 //! (`ph: "X"`) event per work item. Channel wait time and interpreted
@@ -58,6 +58,8 @@ pub fn chrome_trace(processes: &[(String, Vec<SpanRec>)]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_with_mode, ExecMode};
+    use crate::spec::ExperimentSpec;
 
     fn span(name: &str, cat: &'static str, tid: usize, start_ns: u64, dur_ns: u64) -> SpanRec {
         SpanRec { name: name.into(), cat, tid, start_ns, dur_ns, wait_ns: 250, insts: 42 }
@@ -87,6 +89,27 @@ mod tests {
         // The document parses back as JSON (what --trace-out writes).
         let text = doc.to_pretty();
         assert!(Value::parse(&text).is_ok(), "trace JSON parses back: {text}");
+    }
+
+    #[test]
+    fn sampled_runs_trace_one_serial_span_per_group() {
+        let spec = ExperimentSpec::builtin("stress", 1, true).expect("stress is built in");
+        let mode = ExecMode::Sampled { unit_insts: 50, warmup_insts: 50, period: 400 };
+        for workers in [1, 2] {
+            let result = run_with_mode(&spec, workers, mode);
+            let doc = chrome_trace(&[(spec.name.clone(), result.spans.clone())]);
+            let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+            let spans: Vec<&Value> =
+                events.iter().filter(|e| e.get("ph").and_then(Value::as_str) == Some("X")).collect();
+            assert!(!spans.is_empty(), "sampled run at {workers} worker(s) traced no spans");
+            assert_eq!(spans.len(), result.functional_passes, "one span per sampled group");
+            assert!(spans.iter().all(|e| e.get("cat").and_then(Value::as_str) == Some("serial")));
+            let insts: i64 = spans
+                .iter()
+                .filter_map(|e| e.get("args").and_then(|a| a.get("insts")).and_then(Value::as_i64))
+                .sum();
+            assert_eq!(insts as u64, result.functional_instructions);
+        }
     }
 
     #[test]

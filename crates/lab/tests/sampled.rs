@@ -6,18 +6,24 @@
 //!   This is the gate that keeps the sampling machinery honest — any drift
 //!   in the shared plumbing shows up as a byte diff here.
 //! * **Sampling is deterministic**: the periodic schedule depends only on
-//!   instruction indices, never on worker count or timing.
+//!   instruction indices, never on worker count or timing, and each fan-out
+//!   group's functional pass is shared exactly as in the fan-out mode.
 //! * **Estimates are anchored**: committed-instruction counts stay exact
 //!   (the functional interpreter executes the whole workload either way) and
 //!   every cell carries a [`CellSampling`] section.
+//! * **Group members stay isolated**: sampled cells share one functional
+//!   pass per fan-out group, yet each cell's bytes do not depend on which
+//!   other machines shared its group.
 //! * **Checkpoints resume exactly**: a run that persists checkpoints and a
-//!   run resumed from those files serialize byte-identically.
+//!   run resumed from those files serialize byte-identically — also when
+//!   one member of a group lost its file and the group starts over.
 
 use mom_lab::runner::{
     run_with_mode, run_with_options, CheckpointConfig, ExecMode, DEFAULT_SAMPLE_UNIT,
     DEFAULT_SAMPLE_WARMUP,
 };
-use mom_lab::spec::ExperimentSpec;
+use mom_lab::json::Value;
+use mom_lab::spec::{ExperimentKind, ExperimentSpec};
 
 /// A sampled mode whose period is small enough that scale-1 fast kernels
 /// alternate between detailed and fast-forwarded execution several times.
@@ -42,14 +48,23 @@ fn rate1_sampled_is_byte_identical_to_streamed_for_every_builtin() {
 
 #[test]
 fn sampled_runs_are_deterministic_across_worker_counts() {
-    for name in ["figure5", "figure7"] {
+    for name in ["figure5", "figure7", "stress"] {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-        let reference = run_with_mode(&spec, 1, SMALL_SAMPLED).results_json().to_pretty();
+        // Sampled runs share one functional pass per fan-out group, so they
+        // report the fan-out mode's sharing factor (2.0 on stress).
+        let fanout = run_with_mode(&spec, 1, ExecMode::Fanout).sharing_factor();
+        let reference = run_with_mode(&spec, 1, SMALL_SAMPLED);
+        assert_eq!(reference.sharing_factor(), fanout, "{name} sharing factor");
+        let reference = reference.results_json().to_pretty();
         for workers in [2, 7] {
-            let run = run_with_mode(&spec, workers, SMALL_SAMPLED).results_json().to_pretty();
+            let run = run_with_mode(&spec, workers, SMALL_SAMPLED);
+            assert_eq!(run.sharing_factor(), fanout, "{name} sharing factor at {workers} workers");
+            let run = run.results_json().to_pretty();
             assert_eq!(reference, run, "{name} differed at {workers} workers");
         }
     }
+    let stress = ExperimentSpec::builtin("stress", 1, true).expect("built-in spec");
+    assert_eq!(run_with_mode(&stress, 1, SMALL_SAMPLED).sharing_factor(), Some(2.0));
 }
 
 #[test]
@@ -85,6 +100,52 @@ fn sampled_estimates_stay_anchored_to_the_exact_run() {
     assert!(doc.contains("\"ipc_mean\""));
 }
 
+/// The cells of a results document with the given issue width, each
+/// serialized without its `speedup` (a baseline-relative figure, so it
+/// depends on which other cells the grid holds).
+fn cells_at_width(doc: &Value, way: i64) -> Vec<String> {
+    doc.get("cells")
+        .and_then(Value::as_array)
+        .expect("grid cells")
+        .iter()
+        .filter(|c| c.get("way").and_then(Value::as_i64) == Some(way))
+        .map(|c| match c {
+            Value::Object(members) => Value::Object(
+                members.iter().filter(|(k, _)| k != "speedup").cloned().collect(),
+            )
+            .to_pretty(),
+            other => panic!("cell is not an object: {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn sampled_group_members_do_not_depend_on_their_group_mates() {
+    let wide = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
+    let mut narrow = wide.clone();
+    let ExperimentKind::Grid(grid) = &mut narrow.kind else { panic!("figure5 is a grid") };
+    grid.widths = vec![4];
+    let wide_run = run_with_mode(&wide, 1, SMALL_SAMPLED);
+    let narrow_run = run_with_mode(&narrow, 1, SMALL_SAMPLED);
+    // The four-width grid shares each (kernel, ISA) pass among four
+    // machines; the one-width grid gives every 4-way cell a pass of its own.
+    assert!((wide_run.sharing_factor().expect("grid") - 4.0).abs() < 1e-9);
+    assert!((narrow_run.sharing_factor().expect("grid") - 1.0).abs() < 1e-9);
+    let narrow_cells = cells_at_width(&narrow_run.results_json(), 4);
+    assert!(!narrow_cells.is_empty());
+    assert_eq!(cells_at_width(&wide_run.results_json(), 4), narrow_cells);
+    let sampling = |doc: &Value| -> Vec<String> {
+        let cells = doc.get("sampling").and_then(|s| s.get("cells")).and_then(Value::as_array);
+        cells
+            .expect("sampling cells")
+            .iter()
+            .filter(|c| c.get("way").and_then(Value::as_i64) == Some(4))
+            .map(Value::to_pretty)
+            .collect()
+    };
+    assert_eq!(sampling(&wide_run.results_json()), sampling(&narrow_run.results_json()));
+}
+
 #[test]
 fn checkpointed_and_resumed_runs_are_byte_identical() {
     let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
@@ -110,6 +171,15 @@ fn checkpointed_and_resumed_runs_are_byte_identical() {
     let cfg = CheckpointConfig { dir: dir.clone(), resume: true };
     let resumed = run_with_options(&spec, 2, SMALL_SAMPLED, false, Some(&cfg));
     assert_eq!(reference, resumed.results_json().to_pretty(), "resumed run diverged");
+
+    // A group whose checkpoint set is incomplete (one member's file lost)
+    // cannot resume as a group: it starts over from zero, rewrites every
+    // member's file, and still reproduces the uninterrupted bytes.
+    let lost = &ckpts[0];
+    std::fs::remove_file(lost).expect("delete one member's checkpoint");
+    let partial = run_with_options(&spec, 2, SMALL_SAMPLED, false, Some(&cfg));
+    assert_eq!(reference, partial.results_json().to_pretty(), "partial-set resume diverged");
+    assert!(lost.exists(), "the restarted group rewrote {}", lost.display());
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
