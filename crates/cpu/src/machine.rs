@@ -16,7 +16,6 @@ use crate::config::{CoreConfig, PhysRegs};
 use crate::core::{Latencies, OooCore, SimResult, SimState, SimStream};
 use crate::probe::{AttributionProbe, ProbeReport};
 use mom_isa::codec::{CodecError, Decoder, Encoder};
-use mom_isa::pipe::BatchReceiver;
 use mom_isa::trace::{IsaKind, Trace};
 use mom_mem::{build_memory, MemModelKind, MemSystemStats, MemorySystem};
 
@@ -252,38 +251,6 @@ impl SimMachine {
         let (result, probe) = sim.finish_probed();
         (result, probe.into_report())
     }
-
-    /// Drain a batch channel to completion: the consumer half of the
-    /// pipelined fan-out (see [`mom_isa::pipe`]).
-    ///
-    /// Blocks on `recv` until the producer's
-    /// [`BatchSink`](mom_isa::pipe::BatchSink) closes the channel, feeding
-    /// each batched instruction in program order. Batches are shared
-    /// `Arc<[DynInst]>` slices and [`SimStream::feed`] takes a reference, so
-    /// consumption never clones an instruction. Byte-identical to
-    /// [`SimMachine::simulate_trace`] over the concatenated batches.
-    pub fn consume_batches(&mut self, rx: &BatchReceiver) -> SimResult {
-        let mut sim = self.sim();
-        while let Some(batch) = rx.recv() {
-            for inst in batch.iter() {
-                sim.feed(inst);
-            }
-        }
-        sim.finish()
-    }
-
-    /// The probed variant of [`SimMachine::consume_batches`]: same timing,
-    /// plus the verified attribution report.
-    pub fn consume_batches_probed(&mut self, rx: &BatchReceiver) -> (SimResult, ProbeReport) {
-        let mut sim = self.sim_probed();
-        while let Some(batch) = rx.recv() {
-            for inst in batch.iter() {
-                sim.feed(inst);
-            }
-        }
-        let (result, probe) = sim.finish_probed();
-        (result, probe.into_report())
-    }
 }
 
 #[cfg(test)]
@@ -376,30 +343,6 @@ mod tests {
             narrow.cycles,
             wide.cycles
         );
-    }
-
-    #[test]
-    fn consume_batches_matches_simulate_trace() {
-        use mom_isa::pipe::{batch_channel, Batch};
-        let trace = mixed_trace(1200, 5);
-        for (batch_insts, capacity) in [(1usize, 1usize), (7, 1), (256, 3)] {
-            let desc = MachineDescriptor::for_cell(4, IsaKind::Mom, MemModelKind::VectorCache);
-            let expected = desc.build().simulate_trace(&trace);
-
-            let (tx, rx) = batch_channel(capacity);
-            let mut machine = desc.build();
-            let insts = &trace.insts;
-            let got = std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    for chunk in insts.chunks(batch_insts) {
-                        let batch: Batch = chunk.to_vec().into();
-                        tx.send(batch).expect("receiver alive");
-                    }
-                });
-                machine.consume_batches(&rx)
-            });
-            assert_eq!(expected, got, "batch={batch_insts} cap={capacity}: pipelined run diverged");
-        }
     }
 
     #[test]

@@ -4,14 +4,8 @@
 //! the same stream through each simulator independently. This is the
 //! correctness foundation of the shared-functional-pass experiment runner:
 //! one interpretation, N timing simulations, no observable difference.
-//!
-//! The same property is asserted for the pipelined variant: a `BatchSink`
-//! publishing batches into bounded per-member channels drained by consumer
-//! threads must match the serial `Broadcast` for every batch size and
-//! channel capacity.
 
 use mom_cpu::{MachineDescriptor, SimResult};
-use mom_isa::pipe::{batch_channel, BatchSink};
 use mom_isa::trace::{
     ArchReg, BranchInfo, Broadcast, DynInst, InstClass, IsaKind, MemAccess, MemKind, TraceSink,
 };
@@ -130,118 +124,4 @@ proptest! {
 
         prop_assert_eq!(independent, fanned);
     }
-
-    /// The pipelined channel stage == the serial `Broadcast`: publishing the
-    /// same arbitrary stream through a `BatchSink` into per-member bounded
-    /// channels, with each member consuming on its own thread via
-    /// `SimMachine::consume_batches`, is byte-identical to the serial
-    /// broadcast for every batch size and channel capacity — including the
-    /// degenerate batch-of-1 / capacity-1 pipeline.
-    #[test]
-    fn pipelined_channel_stage_matches_serial_broadcast(
-        raw in prop::collection::vec((0usize..8, any::<u64>(), 1u16..=16, any::<bool>()), 0..300),
-        batch_insts in 1usize..=48,
-        capacity in 1usize..=4,
-    ) {
-        let insts: Vec<DynInst> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &(sel, bits, elems, flag))| decode_inst(i, sel, bits, elems, flag))
-            .collect();
-
-        // Serial broadcast reference.
-        let serial: Vec<SimResult> = {
-            let mut machines: Vec<_> = descriptors().iter().map(|d| d.build()).collect();
-            let streams: Vec<_> = machines.iter_mut().map(|m| m.sim()).collect();
-            let mut fan = Broadcast::new(streams);
-            for inst in &insts {
-                fan.emit(inst.clone());
-            }
-            fan.into_inner().into_iter().map(|s| s.finish()).collect()
-        };
-
-        // Pipelined: one producer thread (this one) feeding a BatchSink, one
-        // consumer thread per member draining its bounded channel.
-        let pipelined: Vec<SimResult> = {
-            let mut senders = Vec::new();
-            let mut receivers = Vec::new();
-            for _ in descriptors() {
-                let (tx, rx) = batch_channel(capacity);
-                senders.push(tx);
-                receivers.push(rx);
-            }
-            let mut sink = BatchSink::new(senders, batch_insts);
-            let insts_ref = &insts;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = descriptors()
-                    .into_iter()
-                    .zip(receivers)
-                    .map(|(desc, rx)| {
-                        scope.spawn(move || {
-                            let mut machine = desc.build();
-                            machine.consume_batches(&rx)
-                        })
-                    })
-                    .collect();
-                for inst in insts_ref {
-                    sink.emit(inst.clone());
-                }
-                sink.finish();
-                handles.into_iter().map(|h| h.join().expect("consumer panicked")).collect()
-            })
-        };
-
-        prop_assert_eq!(serial, pipelined);
-    }
-}
-
-/// The degenerate pipeline — one-instruction batches through capacity-1
-/// channels — forces a channel hand-off per instruction and maximum
-/// backpressure. Kept as a plain unit test so the edge case runs even when
-/// `PROPTEST_CASES` trims the random sweep.
-#[test]
-fn batch_of_one_capacity_of_one_pipeline_is_exact() {
-    let insts: Vec<DynInst> =
-        (0..97).map(|i| decode_inst(i, i % 8, 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1), (i % 16) as u16 + 1, i % 3 == 0)).collect();
-
-    let serial: Vec<SimResult> = descriptors()
-        .iter()
-        .map(|desc| {
-            let mut machine = desc.build();
-            let mut sim = machine.sim();
-            for inst in &insts {
-                sim.feed(inst);
-            }
-            sim.finish()
-        })
-        .collect();
-
-    let mut senders = Vec::new();
-    let mut receivers = Vec::new();
-    for _ in descriptors() {
-        let (tx, rx) = batch_channel(1);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let mut sink = BatchSink::new(senders, 1);
-    let insts_ref = &insts;
-    let pipelined: Vec<SimResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = descriptors()
-            .into_iter()
-            .zip(receivers)
-            .map(|(desc, rx)| {
-                scope.spawn(move || {
-                    let mut machine = desc.build();
-                    machine.consume_batches(&rx)
-                })
-            })
-            .collect();
-        for inst in insts_ref {
-            sink.emit(inst.clone());
-        }
-        sink.finish();
-        handles.into_iter().map(|h| h.join().expect("consumer panicked")).collect()
-    });
-
-    assert_eq!(serial, pipelined);
 }

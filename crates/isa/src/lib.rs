@@ -15,8 +15,6 @@
 //! * [`state`] — the architectural state those ISAs execute against.
 //! * [`trace`] — dynamic-instruction traces, the contract with the timing
 //!   simulator in `mom-cpu`.
-//! * [`pipe`] — bounded batch channels for pipelining one trace producer
-//!   against N simulator threads.
 //!
 //! The MOM matrix extension itself — the paper's contribution — lives in the
 //! `mom-core` crate, which builds on these substrates.
@@ -51,7 +49,6 @@ pub mod mdmx;
 pub mod mem;
 pub mod mmx;
 pub mod packed;
-pub mod pipe;
 pub mod regs;
 pub mod scalar;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]

@@ -568,10 +568,7 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
 /// single-sink passes. The combinator adds no buffering of its own — with
 /// O(ROB) children the whole fan-out stays O(N x ROB), never O(trace).
 ///
-/// `Broadcast` drives its children *serially on the producer's thread*. For
-/// the pipelined variant — the producer publishing batches into bounded
-/// channels that each child drains on its own thread — see
-/// [`BatchSink`](crate::pipe::BatchSink).
+/// `Broadcast` drives its children *serially on the producer's thread*.
 #[derive(Debug)]
 pub struct Broadcast<S> {
     sinks: Vec<S>,

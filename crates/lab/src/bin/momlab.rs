@@ -23,27 +23,21 @@
 //!   `config_hash`)
 //! * `--workers N` — worker threads (default: min(cpus, 8), overridable via
 //!   `MOM_LAB_WORKERS`; 1 = serial)
-//! * `--streamed` — fused *per-cell* streaming: each cell re-interprets its
-//!   workload and feeds its simulator directly (byte-identical results;
-//!   O(ROB) memory per cell). `MOM_LAB_STREAM=1` sets the same default
-//! * `--materialized` — the classic two-stage path: build each distinct
-//!   trace once, replay it per cell. Without either flag the runner uses the
-//!   **fan-out** mode: one functional pass per `(workload, ISA)` group,
-//!   fanned out to all member simulators (byte-identical, and the functional
-//!   work drops by the factor reported in `meta.shared_passes`). With 2+
-//!   workers the fan-out pipelines: the interpreter publishes instruction
-//!   batches through bounded channels to one consumer thread per member
-//!   (`meta.pipeline` records batch size, channel capacity and occupancy;
-//!   `MOM_LAB_BATCH` / `MOM_LAB_CHANNEL` tune the knobs)
+//! * `--streamed` — accepted for compatibility; selects the default exact
+//!   engine, which already streams: one functional pass per fan-out group
+//!   (per `(kernel, ISA)`, per application across its ISAs), broadcast to
+//!   all member simulators with no materialized trace (the functional work
+//!   drops by the factor reported in `meta.shared_passes`). Workers claim
+//!   whole groups, so results are byte-identical at every worker count
 //! * `--sampled` — SMARTS-style sampled simulation: each cell simulates a
 //!   detailed warm-up + measurement unit at the head of every sampling
 //!   period and functionally fast-forwards the rest, so wall-clock scales
-//!   with the number of samples instead of the workload length. Like
-//!   fan-out, each `(workload, ISA)` group interprets and fast-forwards its
+//!   with the number of samples instead of the workload length. Like the
+//!   exact engine, each fan-out group interprets and fast-forwards its
 //!   workload once for all member machines. Cells are
 //!   IPC *estimates* with 95% confidence intervals (reported in a `sampling`
 //!   results section); `--sample-period 0` measures everything and is
-//!   byte-identical to `--streamed`
+//!   byte-identical to the exact engine
 //! * `--sample-unit N` / `--sample-warmup N` / `--sample-period N` — the
 //!   sampling knobs (defaults 1000 / 2000 / 100000 dynamic instructions;
 //!   each implies `--sampled`)
@@ -78,9 +72,10 @@
 //!   skips the gate with a note)
 //! * `--cache-dir DIR` — persistent content-addressed cell cache: store
 //!   every simulated cell as a binary record and serve identical cells from
-//!   disk on later runs, byte-identically, across all execution modes
+//!   disk on later runs, byte-identically, at any worker count
 //!   (`MOM_LAB_CACHE=DIR` sets the same default; `--no-cache` disables both;
-//!   `meta.cache` in the document and a stderr summary report hit counts)
+//!   `meta.cache` in the document and a stderr summary report hit counts; a
+//!   record that cannot be written is a warning counted in `meta.cache.errors`)
 //! * `--trace-out FILE` — write a Chrome trace-event JSON of the runner's
 //!   scheduler spans (one trace process per experiment, one track per worker;
 //!   load it in `chrome://tracing` or Perfetto)
@@ -129,7 +124,7 @@ Usage:
   momlab describe <NAME>... [--sweep-dims SPEC]
   momlab run <NAME>... | --all [--experiment NAME]... [--kernel K]... [--app A]...
              [--isa I]... [--scale N] [--seed N] [--workers N] [--streamed]
-             [--materialized] [--sampled] [--sample-unit N] [--sample-warmup N]
+             [--sampled] [--sample-unit N] [--sample-warmup N]
              [--sample-period N] [--checkpoint-dir DIR] [--resume]
              [--sweep-dims SPEC] [--json FILE] [--out-dir DIR] [--results-only]
              [--no-json] [--quiet] [--baseline FILE] [--compare FILE]
@@ -142,17 +137,17 @@ Usage:
 Built-in experiments: table1 table2 table3 isa_inventory figure5
                       latency_tolerance figure7 stress sweep
 
-Execution modes: the default fan-out runner shares one functional pass per
-(workload, ISA) group across all member machines — pipelined across threads
-at 2+ workers; --streamed runs the fused per-cell pipeline; --materialized
-builds and replays traces. All three are byte-identical in their results.
+Execution: one exact engine shares one functional pass per fan-out group
+((kernel, ISA), or one application across its ISAs) across all member
+machines; workers claim whole groups, and results are byte-identical at
+every worker count. --streamed is accepted and selects this same engine.
 --sampled trades exactness for wall-clock: per sampling period (default
 100000 insts) it simulates a detailed warm-up (2000) plus a measured unit
 (1000) and fast-forwards the rest, reporting per-cell IPC estimates with
-95% confidence intervals in a `sampling` results section. Like fan-out it
-interprets (and fast-forwards) each (workload, ISA) group once, giving
+95% confidence intervals in a `sampling` results section. Like the exact
+engine it interprets (and fast-forwards) each fan-out group once, giving
 every member machine its own detailed windows. --sample-period 0 measures
-every instruction and is byte-identical to --streamed. With
+every instruction and is byte-identical to the exact engine. With
 --checkpoint-dir, kernel cells persist a resumable checkpoint every period;
 --resume continues from those files bit-exactly (a group resumes only when
 all of its members' files are present; otherwise it starts over).
@@ -173,10 +168,11 @@ and an all-hit run skips the gate entirely (with a stderr note).
 grid cell's simulation result is stored as one binary record keyed by the
 experiment's config_hash, the cell identity and the engine fingerprint, so
 re-running an identical cell costs a file read instead of a simulation —
-byte-identical results, any execution mode can serve any other (sampled
-runs key separately per sampling knobs). MOM_LAB_CACHE=DIR sets the same
-default (--cache-dir wins); --no-cache disables both. Warm runs report
-hits on stderr and in the document's meta.cache section.
+byte-identical results at any worker count (sampled runs key separately
+per sampling knobs). MOM_LAB_CACHE=DIR sets the same default (--cache-dir
+wins); --no-cache disables both. Warm runs report hits on stderr and in
+the document's meta.cache section. A record that cannot be written is a
+stderr warning counted in meta.cache.errors; the run still completes.
 
 momlab cache ls lists the records in a cache directory; cache verify
 re-simulates every record this binary can rebuild and diffs at tolerance 0
@@ -185,10 +181,7 @@ records until the directory fits in N bytes.
 
 MOM_BENCH_FAST=1 selects the reduced fast-mode workload subsets.
 MOM_LAB_CACHE=DIR enables the persistent cell cache by default.
-MOM_LAB_STREAM=1 enables the fused per-cell streaming pipeline by default.
-MOM_LAB_WORKERS=N overrides the default worker cap (--workers still wins).
-MOM_LAB_BATCH=N / MOM_LAB_CHANNEL=N tune the pipelined fan-out's batch size
-(default 1024 insts) and per-member channel capacity (default 4 batches).";
+MOM_LAB_WORKERS=N overrides the default worker cap (--workers still wins).";
 
 /// Everything `momlab run` / `momlab list` / `momlab diff` accept.
 #[derive(Debug, Default)]
@@ -203,7 +196,6 @@ struct Options {
     seed: Option<u64>,
     workers: Option<usize>,
     streamed: bool,
-    materialized: bool,
     sampled: bool,
     sample_unit: Option<u64>,
     sample_warmup: Option<u64>,
@@ -269,20 +261,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     Some(value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?)
             }
             "--streamed" => opts.streamed = true,
-            "--materialized" => opts.materialized = true,
             "--sampled" => opts.sampled = true,
             "--sample-unit" => {
                 opts.sample_unit = Some(
-                    value("--sample-unit")?
-                        .parse()
-                        .map_err(|e| format!("--sample-unit: {e}"))
-                        .and_then(|u| {
-                            if u == 0 {
-                                Err("--sample-unit must be >= 1".to_string())
-                            } else {
-                                Ok(u)
-                            }
-                        })?,
+                    value("--sample-unit")?.parse().map_err(|e| format!("--sample-unit: {e}"))?,
                 );
                 opts.sampled = true;
             }
@@ -577,24 +559,17 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
         return Err("--compare applies to a single experiment".into());
     }
     let workers = opts.workers.unwrap_or_else(runner::default_workers);
-    if [opts.streamed, opts.materialized, opts.sampled].iter().filter(|&&f| f).count() > 1 {
-        return Err("--streamed, --materialized and --sampled are mutually exclusive".into());
+    if opts.streamed && opts.sampled {
+        return Err("--streamed and --sampled are mutually exclusive".into());
     }
-    let mode = if opts.materialized {
-        ExecMode::Materialized
-    } else if opts.sampled {
-        let unit_insts = opts.sample_unit.unwrap_or(runner::DEFAULT_SAMPLE_UNIT);
-        let warmup_insts = opts.sample_warmup.unwrap_or(runner::DEFAULT_SAMPLE_WARMUP);
-        let period = opts.sample_period.unwrap_or(runner::DEFAULT_SAMPLE_PERIOD);
-        if period != 0 && period < warmup_insts + unit_insts {
-            return Err(format!(
-                "--sample-period {period} is shorter than --sample-warmup {warmup_insts} \
-                 + --sample-unit {unit_insts} (use 0 to measure everything)"
-            ));
-        }
-        ExecMode::Sampled { unit_insts, warmup_insts, period }
-    } else if opts.streamed || mom_lab::stream_mode() {
-        ExecMode::Streamed
+    // --streamed names the default exact engine; it needs no arm of its own.
+    let mode = if opts.sampled {
+        ExecMode::sampled(
+            opts.sample_unit.unwrap_or(runner::DEFAULT_SAMPLE_UNIT),
+            opts.sample_warmup.unwrap_or(runner::DEFAULT_SAMPLE_WARMUP),
+            opts.sample_period.unwrap_or(runner::DEFAULT_SAMPLE_PERIOD),
+        )
+        .map_err(|e| format!("--sample-unit/--sample-warmup/--sample-period: {e}"))?
     } else {
         ExecMode::Fanout
     };
@@ -641,8 +616,8 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
         );
         if let Some(meta) = &result.cache {
             eprintln!(
-                "cache: {} hit(s), {} miss(es), {} fill(s), {} bytes in {}",
-                meta.hits, meta.misses, meta.fills, meta.bytes, meta.dir
+                "cache: {} hit(s), {} miss(es), {} fill(s), {} failed fill(s), {} bytes in {}",
+                meta.hits, meta.misses, meta.fills, meta.errors, meta.bytes, meta.dir
             );
         }
         if opts.trace_out.is_some() {
@@ -880,9 +855,18 @@ fn cmd_cache_verify(cache: &CellCache, opts: &Options) -> Result<ExitCode, Strin
             Some(s) => {
                 ExecMode::Sampled { unit_insts: s.unit, warmup_insts: s.warmup, period: s.period }
             }
-            None => ExecMode::Streamed,
+            None => ExecMode::Fanout,
         };
-        runner::run_cached(&spec, workers, mode, false, None, Some(&tmp));
+        let run = runner::run_cached(&spec, workers, mode, false, None, Some(&tmp));
+        let failed = run.cache.as_ref().map_or(0, |meta| meta.errors);
+        if failed > 0 {
+            let _ = std::fs::remove_dir_all(&tmp_dir);
+            return Err(format!(
+                "cache verify: {failed} re-simulated record(s) of [{group_id}] could not be \
+                 written to the scratch cache {}",
+                tmp_dir.display()
+            ));
+        }
         for entry in members {
             let key = entry.key.as_ref().expect("grouped entries have keys");
             let stored = std::fs::read(&entry.path)

@@ -4,7 +4,7 @@
 //! [`config_hash`](crate::spec::ExperimentSpec::config_hash), the cell's
 //! `(workload, config, way)` identity, the workload scale and seed, and the
 //! sampling parameters — and the runner's determinism guarantee makes the
-//! outputs byte-identical across execution modes and worker counts. That is
+//! outputs byte-identical across worker counts. That is
 //! exactly the property a content-addressed cache needs: hash the inputs
 //! once, never simulate the same cell twice. [`CellKey`] is the address,
 //! [`CellRecord`] is the stored result (timing summary, stall attribution,
@@ -21,10 +21,10 @@
 //! experiment name, fast flag, workload set, machine configs, ROB/latency
 //! overrides, widths, scale and seed), the cell identity, and the sampling
 //! knobs. Exact records carry no sampling knobs at all, so a cache filled by
-//! any exact mode (fanout, streamed, materialized, or `--sampled
-//! --sample-period 0`) serves hits to every other exact mode — their results
-//! are byte-identical by the determinism guarantee. Sampled records with a
-//! nonzero period key separately per `(unit, warmup, period)` triple.
+//! an exact run at any worker count (or by `--sampled --sample-period 0`)
+//! serves hits to every other exact run — their results are byte-identical
+//! by the determinism guarantee. Sampled records with a nonzero period key
+//! separately per `(unit, warmup, period)` triple.
 //!
 //! # Corruption is a miss
 //!
@@ -53,8 +53,8 @@ const CACHE_MAGIC: u64 = u64::from_le_bytes(*b"MOMCELL\0");
 pub const CACHE_VERSION: u32 = 1;
 
 /// The execution-engine identity baked into every [`CellKey`]: crate version
-/// plus which lane-kernel backend is active. Exec-mode-invariant (the three
-/// exact modes produce byte-identical results, so they share records), but
+/// plus which lane-kernel backend is active. Worker-count-invariant (exact
+/// runs at any worker count are byte-identical, so they share records), but
 /// distinct between a portable build and a `--features simd` build, and
 /// between crate versions — stale results can never be served across engine
 /// changes.
@@ -353,8 +353,12 @@ pub struct CacheMeta {
     pub hits: u64,
     /// Cells that had to simulate.
     pub misses: u64,
-    /// Records written (every miss fills).
+    /// Records written (every miss fills unless its write fails).
     pub fills: u64,
+    /// Records that could not be written (a full, read-only or vanished
+    /// cache directory). Their cells are still in the document; they stay
+    /// uncached.
+    pub errors: u64,
     /// Total bytes of all record files after the run.
     pub bytes: u64,
     /// The cache directory.
@@ -414,17 +418,22 @@ impl CellCache {
     /// concurrent reader sees either the old record or the new one, never a
     /// torn write.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the record cannot be written — like a checkpoint, a cache
-    /// directory that stops accepting writes mid-run is a configuration
-    /// error worth failing loudly on.
-    pub fn store(&self, key: &CellKey, record: &CellRecord) {
+    /// Returns the I/O error, naming the record path, when the record cannot
+    /// be written; a partially written temporary file is removed.
+    pub fn store(&self, key: &CellKey, record: &CellRecord) -> std::io::Result<()> {
         let path = self.record_path(key);
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
         std::fs::write(&tmp, record.to_bytes(key))
             .and_then(|()| std::fs::rename(&tmp, &path))
-            .unwrap_or_else(|err| panic!("cannot write cache record {}: {err}", path.display()));
+            .map_err(|err| {
+                let _ = std::fs::remove_file(&tmp);
+                std::io::Error::new(
+                    err.kind(),
+                    format!("cannot write cache record {}: {err}", path.display()),
+                )
+            })
     }
 
     /// Total bytes of every record file currently in the cache.
@@ -587,7 +596,7 @@ mod tests {
         let cache = CellCache::open(&dir).expect("open");
         let (k, r) = (key(), record());
         assert!(cache.load(&k).is_none(), "empty cache misses");
-        cache.store(&k, &r);
+        cache.store(&k, &r).expect("store");
         assert_eq!(cache.load(&k).as_ref(), Some(&r), "stored record hits");
         assert_eq!(cache.bytes(), r.to_bytes(&k).len() as u64);
         let entries = cache.entries().expect("entries");
@@ -629,7 +638,7 @@ mod tests {
         std::fs::write(&path, &bad_version).expect("write bad version");
         assert!(cache.load(&k).is_none(), "version bump must miss");
         // A re-fill overwrites the bad record and hits again.
-        cache.store(&k, &r);
+        cache.store(&k, &r).expect("store");
         assert_eq!(cache.load(&k).as_ref(), Some(&r));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -48,7 +48,7 @@ pub mod trace;
 
 pub use cache::{engine_fingerprint, CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs};
 pub use runner::{
-    run, run_cached, run_streamed, run_with, run_with_mode, run_with_mode_progress,
+    run, run_cached, run_with, run_with_mode, run_with_mode_progress,
     run_with_options, CellResult, CellSampling, CheckpointConfig, ExecMode, PoolStats, RunResult,
     SpanRec, DEFAULT_SAMPLE_PERIOD, DEFAULT_SAMPLE_UNIT, DEFAULT_SAMPLE_WARMUP,
 };
@@ -78,60 +78,18 @@ pub fn fast_mode_marker() -> &'static str {
     report::fast_marker(fast_mode())
 }
 
-/// Whether the `MOM_LAB_STREAM` environment variable requests the fused
-/// streaming execution mode ([`runner::run_streamed`]) by default.
-///
-/// In streamed mode every grid cell re-interprets its workload and feeds the
-/// timing simulator directly — no materialized traces, per-cell memory
-/// bounded by the simulator's O(ROB) window — producing byte-identical
-/// results to the materialized path. Any non-empty value other than `0`
-/// enables it; the `momlab --streamed` flag does the same per invocation.
-/// Cached in a [`OnceLock`] like [`fast_mode`].
-pub fn stream_mode() -> bool {
-    static STREAM: OnceLock<bool> = OnceLock::new();
-    *STREAM.get_or_init(|| {
-        std::env::var("MOM_LAB_STREAM").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-    })
-}
-
 /// Worker-count override from the `MOM_LAB_WORKERS` environment variable.
 ///
-/// [`runner::default_workers`] caps at 8 threads, which undersizes pipelined
-/// fan-out groups (one interpreter + N member simulators each) on big hosts.
+/// [`runner::default_workers`] caps at 8 threads; a bigger host can lift the
+/// cap here (a grid never uses more workers than it has fan-out groups).
 /// A non-empty value other than `0` that parses as a positive integer
 /// overrides the default; empty, `0` or unparsable values mean "no override"
-/// — the same disable semantics as `MOM_BENCH_FAST` / `MOM_LAB_STREAM`.
+/// — the same disable semantics as `MOM_BENCH_FAST`.
 /// Cached in a [`OnceLock`] like [`fast_mode`]. The explicit `--workers`
 /// CLI flag still wins over this variable.
 pub fn worker_override() -> Option<usize> {
     static WORKERS: OnceLock<Option<usize>> = OnceLock::new();
     *WORKERS.get_or_init(|| env_positive_usize("MOM_LAB_WORKERS"))
-}
-
-/// Instructions per pipeline batch, from `MOM_LAB_BATCH` (default
-/// [`mom_isa::pipe::DEFAULT_BATCH_INSTS`]).
-///
-/// Same empty/`0` disable semantics and [`OnceLock`] caching as
-/// [`worker_override`]. Larger batches amortize channel synchronization;
-/// smaller ones tighten the pipeline's memory bound (O(batch × capacity ×
-/// members) per group).
-pub fn pipeline_batch_insts() -> usize {
-    static BATCH: OnceLock<usize> = OnceLock::new();
-    *BATCH.get_or_init(|| {
-        env_positive_usize("MOM_LAB_BATCH").unwrap_or(mom_isa::pipe::DEFAULT_BATCH_INSTS)
-    })
-}
-
-/// Per-member channel capacity in batches, from `MOM_LAB_CHANNEL` (default
-/// [`mom_isa::pipe::DEFAULT_CHANNEL_BATCHES`]).
-///
-/// Same empty/`0` disable semantics and [`OnceLock`] caching as
-/// [`worker_override`].
-pub fn pipeline_channel_batches() -> usize {
-    static CHANNEL: OnceLock<usize> = OnceLock::new();
-    *CHANNEL.get_or_init(|| {
-        env_positive_usize("MOM_LAB_CHANNEL").unwrap_or(mom_isa::pipe::DEFAULT_CHANNEL_BATCHES)
-    })
 }
 
 /// The persistent cell-cache directory requested via `MOM_LAB_CACHE`.
@@ -168,17 +126,6 @@ mod tests {
             assert_eq!(fast_mode(), first);
         }
         assert_eq!(fast_mode_marker().is_empty(), !first);
-    }
-
-    #[test]
-    fn pipeline_knobs_are_cached_and_positive() {
-        assert!(pipeline_batch_insts() >= 1);
-        assert!(pipeline_channel_batches() >= 1);
-        for _ in 0..3 {
-            assert_eq!(pipeline_batch_insts(), pipeline_batch_insts());
-            assert_eq!(pipeline_channel_batches(), pipeline_channel_batches());
-            assert_eq!(worker_override(), worker_override());
-        }
     }
 
     #[test]

@@ -1,87 +1,75 @@
 //! The parallel experiment runner.
 //!
-//! Grid experiments run in one of four execution modes ([`ExecMode`]):
+//! Grid experiments run on **one exact engine**: the grid's cells are
+//! regrouped into fan-out groups — one per `(kernel, ISA)`, one per
+//! application spanning all of its ISAs — and each group runs **one**
+//! functional interpretation of its workload (kernels verified against the
+//! golden reference) whose graduated instructions fan out through a serial
+//! `Broadcast` to the streaming timing simulators of every member machine.
+//! The interpreter's work is amortized across the whole group — Figure 5's
+//! 128 cells cost 32 functional passes — and no trace is ever materialized.
+//! Groups are the parallel work unit: `workers` threads claim whole groups
+//! off a shared cursor ([`ExecMode::Fanout`], the default at every worker
+//! count).
 //!
-//! * [`ExecMode::Fanout`] — **the default**: the grid's cells are regrouped
-//!   into `(workload, ISA)` groups; each group runs **one** functional
-//!   interpretation of its workload (kernels verified against the golden
-//!   reference) whose graduated instructions fan out to the streaming
-//!   timing simulators of every member machine configuration. The
-//!   interpreter's work is amortized across the whole group — Figure 5's
-//!   128 cells cost 32 functional passes — and no trace is ever
-//!   materialized. With 2+ workers the fan-out is **pipelined**: the
-//!   interpreter publishes `DynInst`
-//!   batches into bounded per-member channels and each member simulates on
-//!   its own worker, with backpressure keeping peak memory per group at
-//!   `members x O(ROB + batch x capacity)`. One worker falls back to
-//!   driving a serial `Broadcast` on the interpreter's thread.
-//! * [`ExecMode::Streamed`] — the fused per-cell pipeline of the streaming
-//!   era: every cell re-interprets its workload and graduates instructions
-//!   straight into its own simulator, O(ROB) per cell.
-//! * [`ExecMode::Materialized`] — the classic two-stage path: build every
-//!   distinct `(workload, ISA)` trace once, then replay it per cell.
-//! * [`ExecMode::Sampled`] — SMARTS-style statistical sampling over the
-//!   same fan-out groups: each group interprets its workload once, every
-//!   member machine simulates its own detailed warm-up and measurement
-//!   windows, and the functional fast-forward between windows runs once
-//!   for the whole group, so wall-clock scales with the number of samples
-//!   instead of the workload length. Results are **estimates** (reported
-//!   with per-cell confidence intervals in a `sampling` results section) —
-//!   except at sampling rate 1 (`period == 0`), which routes through the
-//!   streamed code path and is byte-identical to the exact modes. Sampled
-//!   kernel cells can persist [`Checkpoint`]s between periods (see
-//!   [`CheckpointConfig`]) and resume from them bit-exactly.
+//! [`ExecMode::Sampled`] runs the same groups under SMARTS-style statistical
+//! sampling: each group interprets its workload once, every member machine
+//! simulates its own detailed warm-up and measurement windows, and the
+//! functional fast-forward between windows runs once for the whole group,
+//! so wall-clock scales with the number of samples instead of the workload
+//! length. Results are **estimates** (reported with per-cell confidence
+//! intervals in a `sampling` results section) — except at sampling rate 1
+//! (`period == 0`), which runs the exact engine and is byte-identical to
+//! [`ExecMode::Fanout`]. Sampled kernel cells can persist [`Checkpoint`]s
+//! between periods (see [`CheckpointConfig`]) and resume from them
+//! bit-exactly.
 //!
-//! The three exact modes are **byte-identical** in their results — the
-//! determinism guarantee below covers the execution mode as well as the
-//! worker count — and the chosen mode is recorded only in the JSON `meta`
-//! section, along with the functional-sharing accounting
-//! (`meta.shared_passes`). Sampled runs (period > 0) are equally
+//! The mode is recorded only in the JSON `meta` section, along with the
+//! functional-sharing accounting (`meta.shared_passes`) and one scheduler
+//! span per group (`meta.spans`). Sampled runs (period > 0) are equally
 //! deterministic for fixed sampling parameters, but their cell results are
 //! statistical estimates, not the exact cycle counts.
 //!
 //! Machines are built from the declarative [`MachineDescriptor`] resolved by
 //! each grid cell and **reused across work units**: every worker keeps a
 //! pool of instantiated machines keyed by descriptor and `reset()`s them
-//! between cells instead of reallocating predictor tables, ring buffers and
+//! between groups instead of reallocating predictor tables, ring buffers and
 //! cache arrays (a reset machine is bit-identical to a fresh one; the
 //! `mom-cpu`/`mom-mem` test suites pin that property).
 //!
-//! Work is distributed by a shared atomic cursor (idle workers steal the next
-//! unclaimed index), and every result is written back to the slot of its cell
-//! index. Since each cell's simulation is a pure function of the spec, the
-//! result vector — and therefore the JSON document — is **bit-identical**
-//! regardless of worker count or scheduling. [`determinism`] states the
-//! guarantee; `tests/determinism.rs` enforces it.
+//! Every result is written back to the slot of its cell index. Since each
+//! cell's simulation is a pure function of the spec, the result vector —
+//! and therefore the JSON document — is **bit-identical** regardless of
+//! worker count or scheduling. [`determinism`] states the guarantee;
+//! `tests/determinism.rs` enforces it, against an independent
+//! trace-replay oracle.
 //!
 //! [`determinism`]: self#determinism
 //!
 //! # Determinism
 //!
-//! For any spec `s`, worker counts `a, b >= 1` and **exact** execution modes
-//! `m, n` (everything except `Sampled` with `period > 0`):
-//! `run_with_mode(&s, a, m).results_json() ==
-//! run_with_mode(&s, b, n).results_json()` — byte-for-byte. Only the `meta`
-//! section of the full document (wall-clock, worker count, mode, sharing
-//! accounting) may differ between runs. A sampled run is byte-identical to
-//! another sampled run with the same parameters at any worker count, and at
-//! `period == 0` byte-identical to the exact modes.
+//! For any spec `s` and worker counts `a, b >= 1`:
+//! `run_with(&s, a).results_json() == run_with(&s, b).results_json()` —
+//! byte-for-byte. Only the `meta` section of the full document (wall-clock,
+//! worker count, mode, sharing accounting) may differ between runs. A
+//! sampled run is byte-identical to another sampled run with the same
+//! parameters at any worker count, and at `period == 0` byte-identical to
+//! the exact engine.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use mom_apps::{stream_app, stream_app_multi, stream_app_pipelined, AppKind, AppParams};
+use mom_apps::{stream_app, stream_app_multi, AppKind, AppParams};
 use mom_core::{snapshot, ExecCursor, Machine};
 use mom_cpu::{
     AttributionProbe, Checkpoint, IntervalStats, MachineDescriptor, ProbeReport, SimMachine,
     SimResult, SimStream, StallBreakdown,
 };
 use mom_isa::codec::{CodecError, Decoder, Encoder};
-use mom_isa::pipe::{batch_channel, BatchReceiver, BatchSink};
-use mom_isa::trace::{Broadcast, DynInst, IsaKind, Trace, TraceSink};
+use mom_isa::trace::{Broadcast, DynInst, IsaKind, TraceSink};
 use mom_kernels::{build_kernel, BuiltKernel, KernelKind, KernelParams};
 use mom_mem::cache::CacheStats;
 use mom_mem::{MemModelKind, MemSystemStats};
@@ -91,27 +79,20 @@ use crate::json::Value;
 use crate::spec::{BaselinePolicy, Cell, ExperimentKind, ExperimentSpec, GridSpec, Workload};
 use crate::tables::{static_rows, StaticRows};
 
-/// How a grid experiment executes its cells. The three exact modes are
-/// byte-identical in their results; the mode only decides how the functional
-/// interpreter's work is scheduled and shared. [`ExecMode::Sampled`] with a
-/// nonzero period trades exactness for wall-clock: its cells are statistical
-/// estimates with confidence intervals.
+/// How a grid experiment executes its cells. Both modes run the grid as
+/// fan-out groups; [`ExecMode::Sampled`] with a nonzero period trades
+/// exactness for wall-clock: its cells are statistical estimates with
+/// confidence intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Build every distinct `(workload, ISA)` trace once, replay it per cell.
-    Materialized,
-    /// Fused per-cell pipeline: each cell re-interprets its workload straight
-    /// into its simulator (O(ROB) per cell, one functional pass per cell).
-    Streamed,
-    /// Shared-functional-pass fan-out (the default): one interpretation per
-    /// `(workload, ISA)` group broadcast to all member simulators.
+    /// The exact engine (the default): one functional interpretation per
+    /// fan-out group broadcast to all member simulators, groups distributed
+    /// over the workers.
     ///
-    /// Note the parallel work unit coarsens from cells to groups: a grid
-    /// whose group count is below the worker count leaves workers idle
-    /// (the full `sweep` is 4 groups), trading wall-clock parallelism for
-    /// the amortized functional work. On hosts with many cores and
-    /// simulation-bound grids, `Streamed`/`Materialized` keep per-cell
-    /// parallelism at the cost of per-cell interpretation.
+    /// The parallel work unit is the group, not the cell: a grid whose
+    /// group count is below the worker count leaves workers idle (the full
+    /// `sweep` is 4 groups), trading wall-clock parallelism for the
+    /// amortized functional work.
     Fanout,
     /// SMARTS-style sampled simulation: every sampling period of
     /// `period` dynamic instructions opens with `warmup_insts` of detailed
@@ -129,11 +110,11 @@ pub enum ExecMode {
     /// estimate never depends on which machines share its group.
     ///
     /// `period == 0` is the **rate-1 sentinel**: every instruction is
-    /// simulated in detail and the run routes through the exact streamed
-    /// code path, making the results byte-identical to [`ExecMode::Streamed`]
-    /// (the correctness gate of the sampling machinery). Otherwise `period`
-    /// must be at least `warmup_insts + unit_insts` and `unit_insts` at
-    /// least 1.
+    /// simulated in detail by the exact engine, making the results
+    /// byte-identical to [`ExecMode::Fanout`] (the correctness gate of the
+    /// sampling machinery). Otherwise `period` must be at least
+    /// `warmup_insts + unit_insts` and `unit_insts` at least 1 — build the
+    /// variant with [`ExecMode::sampled`] to have that checked.
     Sampled {
         /// Detailed, measured instructions per sampling unit.
         unit_insts: u64,
@@ -153,20 +134,36 @@ pub const DEFAULT_SAMPLE_WARMUP: u64 = 2_000;
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 100_000;
 
 impl ExecMode {
+    /// A validated [`ExecMode::Sampled`]: `unit_insts` must be at least 1,
+    /// `warmup_insts + unit_insts` must fit in a `u64`, and a nonzero
+    /// `period` must hold at least one `warmup + unit` window (`period == 0`
+    /// is the rate-1 sentinel).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated constraint.
+    pub fn sampled(unit_insts: u64, warmup_insts: u64, period: u64) -> Result<ExecMode, String> {
+        if unit_insts == 0 {
+            return Err("sampled mode needs a measurement unit of at least 1 instruction".into());
+        }
+        let window = warmup_insts.checked_add(unit_insts).ok_or_else(|| {
+            format!("sampling warmup {warmup_insts} + unit {unit_insts} overflows 64 bits")
+        })?;
+        if period != 0 && period < window {
+            return Err(format!(
+                "sampling period {period} is shorter than warmup {warmup_insts} + unit \
+                 {unit_insts} (use period 0 to measure everything)"
+            ));
+        }
+        Ok(ExecMode::Sampled { unit_insts, warmup_insts, period })
+    }
+
     /// The `meta.mode` label of the JSON schema.
     pub fn label(self) -> &'static str {
         match self {
-            ExecMode::Materialized => "materialized",
-            ExecMode::Streamed => "streamed",
             ExecMode::Fanout => "fanout",
             ExecMode::Sampled { .. } => "sampled",
         }
-    }
-
-    /// Whether instructions graduate straight into the simulators without a
-    /// materialized trace (the `meta.streamed` flag of the JSON schema).
-    pub fn is_streamed(self) -> bool {
-        !matches!(self, ExecMode::Materialized)
     }
 
     /// Whether this mode produces statistical estimates instead of exact
@@ -205,7 +202,7 @@ pub struct CellResult {
     /// Per-cause stall attribution of every simulated cycle; the components
     /// sum exactly to `cycles` (the attribution probe pins that invariant)
     /// and, like every other field of `results`, are byte-identical across
-    /// execution modes and worker counts.
+    /// worker counts.
     pub breakdown: StallBreakdown,
     /// The windowed timeline of the run: IPC and dominant stall cause per
     /// fixed-width commit-cycle window.
@@ -288,42 +285,32 @@ pub struct RunResult {
     pub workers: usize,
     /// Wall-clock duration of the run in milliseconds.
     pub wall_ms: u64,
-    /// How the grid executed (recorded in `meta` only; results are
-    /// byte-identical across modes).
+    /// How the grid executed (recorded in `meta` only).
     pub mode: ExecMode,
     /// Per-cell wall-clock simulation time in nanoseconds, parallel to the
     /// grid cells (empty for static experiments). Feeds the `insts_per_sec`
     /// throughput figures of the JSON `meta` section; like all wall-clock
-    /// data it lives outside the deterministic results. In fan-out and
-    /// sampled mode every member of a `(workload, ISA)` group carries the
-    /// group's shared span.
+    /// data it lives outside the deterministic results. Every member of a
+    /// fan-out group carries the group's shared span.
     pub cell_wall_ns: Vec<u64>,
     /// Total wall-clock nanoseconds of the distinct simulation work units
-    /// (cells, or groups in fan-out and sampled mode). Unlike summing
-    /// `cell_wall_ns`, this never counts a shared group span more than once.
+    /// (the fan-out groups). Unlike summing `cell_wall_ns`, this never
+    /// counts a shared group span more than once.
     pub sim_wall_ns: u64,
     /// Number of functional interpreter passes the run performed: one per
-    /// fan-out group in fan-out and sampled mode (per `(kernel, ISA)` for
-    /// kernels, per *app* for applications — their scalar phases interpret once across
-    /// all ISA lanes), one per distinct `(workload, ISA)` pair in
-    /// materialized mode, one per cell in streamed mode. Zero for static
-    /// experiments.
+    /// fan-out group (per `(kernel, ISA)` for kernels, per *app* for
+    /// applications — their scalar phases interpret once across all ISA
+    /// lanes). Zero for static experiments.
     pub functional_passes: usize,
     /// Dynamic instructions the functional interpreter actually executed
     /// (each shared pass counted once). The cells' own `instructions` sum is
     /// what per-cell interpretation would have cost; the ratio of the two is
     /// the `meta.shared_passes.sharing_factor`.
     pub functional_instructions: u64,
-    /// Pipelined fan-out accounting (`Some` exactly when the pipelined
-    /// scheduler ran: [`ExecMode::Fanout`] with 2+ workers). All wall-clock
-    /// derived — `meta`-only, never part of the deterministic results.
-    pub pipeline: Option<PipelineStats>,
-    /// Scheduler spans recorded by the fan-out and sampled runners: one per
-    /// work item (serial group, interpreter, consumer shard) with wall-clock
-    /// extent, channel wait time and the worker that executed it. Feeds
-    /// `meta.spans` and the Chrome trace export of `momlab run --trace-out`.
-    /// Wall-clock data, so `meta`-only; empty in streamed/materialized modes
-    /// (and the sampled rate-1 sentinel) and for static experiments.
+    /// Scheduler spans: one per fan-out group simulated, with wall-clock
+    /// extent and the worker that executed it. Feeds `meta.spans` and the
+    /// Chrome trace export of `momlab run --trace-out`. Wall-clock data, so
+    /// `meta`-only; empty for static experiments and fully cached grids.
     pub spans: Vec<SpanRec>,
     /// Machine-pool reuse accounting: machines reset-and-reused versus built
     /// fresh across all workers (`meta.pool`; wall-clock-free but scheduling
@@ -348,26 +335,21 @@ pub struct RunResult {
     pub data: RunData,
 }
 
-/// One recorded span of the fan-out or sampled scheduler: a work item's identity,
-/// wall-clock extent relative to the grid run's epoch, and — for consumer
-/// shards — the time spent blocked on the batch channel.
+/// One recorded scheduler span: a fan-out group's identity and its
+/// wall-clock extent relative to the grid run's epoch. Every span is one
+/// serial group pass (category `"serial"` in `meta.spans` and the trace
+/// export).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
-    /// The work item's identity (group label, or the shard's cell labels).
+    /// The group's label (workload plus its ISA lanes).
     pub name: String,
-    /// Span category: `"serial"`, `"produce"` or `"consume"`.
-    pub cat: &'static str,
     /// Index of the worker thread that executed the item.
     pub tid: usize,
     /// Start offset from the grid run's epoch, in nanoseconds.
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Nanoseconds a consumer shard spent blocked on channel `recv` (zero
-    /// for producer and serial items).
-    pub wait_ns: u64,
-    /// Instructions the functional interpreter executed inside this span
-    /// (zero for consumer shards).
+    /// Instructions the functional interpreter executed inside this span.
     pub insts: u64,
 }
 
@@ -380,30 +362,11 @@ pub struct PoolStats {
     pub builds: u64,
 }
 
-/// Accounting of one pipelined fan-out run, recorded under `meta.pipeline`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineStats {
-    /// Instructions per published batch ([`crate::pipeline_batch_insts`]).
-    pub batch_insts: usize,
-    /// Per-member channel capacity in batches
-    /// ([`crate::pipeline_channel_batches`]).
-    pub channel_batches: usize,
-    /// Groups that ran as interpreter + consumer-shard pipelines.
-    pub pipelined_groups: usize,
-    /// Groups that fell back to the serial one-worker Broadcast path
-    /// (application groups with more ISA lanes than the worker budget).
-    pub serial_groups: usize,
-    /// Fraction of consumer-shard wall-clock spent simulating rather than
-    /// blocked on the channel (`None` when no group pipelined). Low
-    /// occupancy means the interpreter is the bottleneck.
-    pub occupancy: Option<f64>,
-}
-
 /// Default worker count: the machine's available parallelism, capped at 8
 /// (the grids are small; more threads only add scheduling noise) — unless
 /// the `MOM_LAB_WORKERS` environment variable overrides the cap (see
-/// [`crate::worker_override`]; pipelined fan-out groups want one worker per
-/// member simulator plus the interpreter, which can exceed 8). The explicit
+/// [`crate::worker_override`]). Workers claim whole fan-out groups, so a
+/// grid never keeps more workers busy than it has groups. The explicit
 /// `--workers` CLI flag bypasses this function entirely.
 pub fn default_workers() -> usize {
     if let Some(n) = crate::worker_override() {
@@ -425,23 +388,14 @@ pub fn run_with(spec: &ExperimentSpec, workers: usize) -> RunResult {
     run_with_mode(spec, workers, ExecMode::Fanout)
 }
 
-/// Run an experiment through the fused per-cell streaming pipeline
-/// ([`ExecMode::Streamed`]). Results are **byte-identical** to [`run_with`]
-/// — the determinism guarantee extends across execution modes.
-pub fn run_streamed(spec: &ExperimentSpec, workers: usize) -> RunResult {
-    run_with_mode(spec, workers, ExecMode::Streamed)
-}
-
 /// Run an experiment with an explicit worker count and [`ExecMode`].
 pub fn run_with_mode(spec: &ExperimentSpec, workers: usize, mode: ExecMode) -> RunResult {
     run_with_mode_progress(spec, workers, mode, false)
 }
 
 /// Like [`run_with_mode`], optionally emitting live progress lines on stderr
-/// as pipeline work items complete — each names its fan-out group and, for
-/// consumer shards, reports the shard's channel occupancy (`momlab run`
-/// passes its non-quiet flag here). Progress output never touches stdout or
-/// the results.
+/// — one per cell cache lookup (`momlab run` passes its non-quiet flag
+/// here). Progress output never touches stdout or the results.
 pub fn run_with_mode_progress(
     spec: &ExperimentSpec,
     workers: usize,
@@ -515,8 +469,8 @@ struct CacheContext<'a> {
 }
 
 impl CacheContext<'_> {
-    /// The content address of one cell under this run's mode. The three
-    /// exact modes (and the sampled rate-1 sentinel) share one key per cell;
+    /// The content address of one cell under this run's mode. Exact runs
+    /// (including the sampled rate-1 sentinel) share one key per cell;
     /// estimated sampled runs key per `(unit, warmup, period)` triple.
     fn key_for(&self, grid: &GridSpec, cell: &Cell, mode: ExecMode) -> CellKey {
         let config = &grid.configs[cell.config];
@@ -547,6 +501,7 @@ struct GridCacheOutcome {
     hits: u64,
     misses: u64,
     fills: u64,
+    errors: u64,
     cached: Vec<bool>,
 }
 
@@ -556,13 +511,14 @@ struct GridCacheOutcome {
 /// usual and fill the cache afterwards. The results document is byte-
 /// identical either way (speed-ups are re-derived at assembly, so records
 /// stay baseline-policy-agnostic), and `meta.cache` records the hit/miss/
-/// fill accounting. This is the full-signature entry point `momlab run`
-/// uses.
+/// fill accounting. A record that cannot be written is a stderr warning and
+/// counts under `meta.cache.errors` instead of `fills` — the cache is only
+/// an optimization, so a finished run is never thrown away over it. This is
+/// the full-signature entry point `momlab run` uses.
 ///
 /// # Panics
 ///
-/// Panics for the same reasons as [`run_with_options`], or when a cache
-/// record cannot be written.
+/// Panics for the same reasons as [`run_with_options`].
 pub fn run_cached(
     spec: &ExperimentSpec,
     workers: usize,
@@ -572,11 +528,9 @@ pub fn run_cached(
     cache: Option<&CellCache>,
 ) -> RunResult {
     if let ExecMode::Sampled { unit_insts, warmup_insts, period } = mode {
-        assert!(unit_insts >= 1, "sampled mode needs a measurement unit of at least 1 instruction");
-        assert!(
-            period == 0 || period >= warmup_insts + unit_insts,
-            "sampling period {period} is shorter than warmup {warmup_insts} + unit {unit_insts}"
-        );
+        if let Err(e) = ExecMode::sampled(unit_insts, warmup_insts, period) {
+            panic!("{e}");
+        }
     }
     let ckpt = match (mode, checkpoints) {
         (ExecMode::Sampled { unit_insts, warmup_insts, period }, Some(cfg)) if period > 0 => {
@@ -622,6 +576,7 @@ pub fn run_cached(
                 hits: outcome.hits,
                 misses: outcome.misses,
                 fills: outcome.fills,
+                errors: outcome.errors,
                 bytes: store.bytes(),
                 dir: store.dir().display().to_string(),
             }),
@@ -647,7 +602,6 @@ pub fn run_cached(
         sim_wall_ns: timing.sim_wall_ns,
         functional_passes: timing.functional_passes,
         functional_instructions: timing.functional_instructions,
-        pipeline: timing.pipeline,
         spans: timing.spans,
         pool: timing.pool,
         fused_pairs,
@@ -657,18 +611,9 @@ pub fn run_cached(
     }
 }
 
-/// Build the dynamic trace of one workload for one ISA. Kernels are verified
-/// against the golden reference; a mismatch is a panic, exactly as in the
-/// legacy harness.
-fn build_trace(workload: Workload, isa: IsaKind, scale: usize, seed: u64) -> Trace {
-    let mut trace = Trace::new(isa);
-    interpret_into(workload, isa, scale, seed, &mut trace);
-    trace
-}
-
 /// Run one workload through the functional interpreter, streaming every
-/// graduated instruction into `sink` (a collecting trace, one simulator, or
-/// a `Broadcast` fan-out to a whole machine group). Kernels are verified
+/// graduated instruction into `sink` (a `Broadcast` fan-out to a whole
+/// machine group). Kernels are verified
 /// against the golden reference; a failure is a panic, exactly as in the
 /// legacy harness. Returns the number of instructions interpreted.
 fn interpret_into<S: TraceSink + ?Sized>(
@@ -769,7 +714,6 @@ struct GridTiming {
     sim_wall_ns: u64,
     functional_passes: usize,
     functional_instructions: u64,
-    pipeline: Option<PipelineStats>,
     spans: Vec<SpanRec>,
     pool: PoolStats,
 }
@@ -814,13 +758,6 @@ pub(crate) fn fanout_groups(grid: &GridSpec, cells: &[Cell]) -> Vec<FanGroup> {
         }
     }
     groups
-}
-
-/// The `(workload, isa, config)` identity of one grid cell, used to label
-/// work items so a panicking cell names itself in the panic message.
-fn cell_label(grid: &GridSpec, cell: &Cell) -> String {
-    let config = &grid.configs[cell.config];
-    format!("{} / {} / {}-way ({})", cell.workload.label(), config.label, cell.way, config.isa.label())
 }
 
 /// The identity of one fan-out group: workload plus its ISA lanes.
@@ -878,10 +815,10 @@ fn attach_mem_stats(
 }
 
 /// Run one fan-out group serially on the calling thread: a single
-/// interpretation broadcast to every member simulator (the one-worker path,
-/// also the fallback work unit of the pipelined scheduler). `lane_machines`
-/// is parallel to `group.lanes`; returns the per-lane member results plus
-/// the number of instructions the interpreter executed.
+/// interpretation broadcast to every member simulator — the work unit of
+/// the exact engine. `lane_machines` is parallel to `group.lanes`; returns
+/// the per-lane member results plus the number of instructions the
+/// interpreter executed.
 fn run_fan_group_serial(
     grid: &GridSpec,
     group: &FanGroup,
@@ -934,9 +871,9 @@ fn run_fan_group_serial(
 /// `run_group` (which returns per-lane member results plus the instructions
 /// it interpreted), and returns the machines. The member results are
 /// scattered back into cell order, and the run's accounting — one
-/// functional pass, one `serial` span and one shared wall-clock span per
-/// group — lands in `timing`. Shared by the one-worker fan-out arm and the
-/// sampled arm.
+/// functional pass, one span and one shared wall-clock span per group —
+/// lands in `timing`. The one scheduler of both the exact and the sampled
+/// engine.
 fn run_groups(
     grid: &GridSpec,
     cells: &[Cell],
@@ -969,15 +906,8 @@ fn run_groups(
         timing.sim_wall_ns += ns;
         timing.functional_passes += 1;
         timing.functional_instructions += executed;
-        timing.spans.push(SpanRec {
-            name: group_label(group),
-            cat: "serial",
-            tid,
-            start_ns,
-            dur_ns: ns,
-            wait_ns: 0,
-            insts: executed,
-        });
+        let name = group_label(group);
+        timing.spans.push(SpanRec { name, tid, start_ns, dur_ns: ns, insts: executed });
         for ((_, members), sims) in group.lanes.iter().zip(lane_sims) {
             for (&ci, sim) in members.iter().zip(sims) {
                 slots[ci] = Some(sim);
@@ -990,431 +920,9 @@ fn run_groups(
     slots.into_iter().map(|s| s.expect("every cell belongs to one group")).collect()
 }
 
-/// One work item of the pipelined fan-out scheduler. Items live in
-/// `Mutex<Option<_>>` slots and are *moved out* when claimed; an item
-/// dropped unexecuted (abort path) closes its channel endpoints, which
-/// unblocks any peer still waiting on them.
-enum PipeItem {
-    /// Run a whole group on one worker via the serial Broadcast path.
-    Serial { gi: usize, label: String },
-    /// Interpret a group once, publishing batches into the member channels.
-    Produce { gi: usize, label: String, lanes: Vec<(IsaKind, BatchSink)> },
-    /// Drain a shard of one lane's members, simulating each batch as it
-    /// arrives. Members are `(cell index, descriptor, receiver)`.
-    Consume { gi: usize, label: String, members: Vec<(usize, MachineDescriptor, BatchReceiver)> },
-}
-
-impl PipeItem {
-    fn label(&self) -> &str {
-        match self {
-            PipeItem::Serial { label, .. }
-            | PipeItem::Produce { label, .. }
-            | PipeItem::Consume { label, .. } => label,
-        }
-    }
-}
-
-/// What one executed [`PipeItem`] reports back (all wall-clock data is
-/// relative to the scheduler's epoch, so group spans can be reconstructed
-/// across threads).
-struct PipeOutcome {
-    gi: usize,
-    /// `(cell index, result)` for every member this item simulated.
-    sims: Vec<(usize, CellSim)>,
-    /// Instructions the interpreter executed (producer / serial items only).
-    executed: u64,
-    start_ns: u64,
-    end_ns: u64,
-    /// Time a consumer shard spent simulating rather than blocked on `recv`
-    /// (zero for non-consumer items; feeds `meta.pipeline.occupancy`).
-    busy_ns: u64,
-    /// Time a consumer shard spent blocked on channel `recv`.
-    wait_ns: u64,
-    is_consumer: bool,
-    /// Span category of the executed item (`"serial"`/`"produce"`/`"consume"`).
-    kind: &'static str,
-    /// The executed item's label (carried into the span record).
-    label: String,
-    /// Index of the worker thread that executed the item.
-    worker: usize,
-}
-
-/// The pipelined fan-out scheduler: overlap each group's interpreter with
-/// its member simulators on separate workers (`ExecMode::Fanout`, 2+
-/// workers).
-///
-/// # Thread accounting
-///
-/// Exactly `workers` scoped threads run; every pipeline role is a work item
-/// claimed in order from a shared cursor, so the pipeline never spawns
-/// beyond the worker budget. A pipelined group costs `1 + K` items — one
-/// interpreter ([`PipeItem::Produce`]) plus `K` consumer shards
-/// ([`PipeItem::Consume`]), `K = min(members, workers - 1)` distributed
-/// across the group's ISA lanes. A group's items are contiguous in claim
-/// order and its team never exceeds `workers`, which guarantees progress:
-/// the earliest unclaimed item always belongs to a team whose predecessors
-/// are fully claimed and therefore terminate, freeing their workers.
-///
-/// Two structural rules keep the channels deadlock-free:
-///
-/// * a consumer shard never spans ISA lanes (application kernel phases
-///   stream lane-by-lane, so a cross-lane shard would block on a silent
-///   lane while its busy lane backs up);
-/// * an application group needs one shard per lane at minimum — when
-///   `workers < lanes + 1` the whole group falls back to a single
-///   [`PipeItem::Serial`] item instead (counted in
-///   `meta.pipeline.serial_groups`).
-///
-/// A shard with several members drains them round-robin, one batch per
-/// member per pass — the same order the producer publishes in, so neither
-/// side can wait on a batch the other has not already had the opportunity
-/// to hand over.
-///
-/// On a panic the failing worker sets the abort flag and the remaining
-/// items are claimed but *dropped unexecuted*: dropping a `Produce` item
-/// closes its senders (consumers see end-of-stream), dropping a `Consume`
-/// item closes its receivers (the producer's sends error out and it skips
-/// the member) — every blocked peer unblocks, and the first failure is
-/// re-raised with its work item's identity.
-fn run_fanout_pipelined(
-    grid: &GridSpec,
-    cells: &[Cell],
-    groups: &[FanGroup],
-    workers: usize,
-    counters: &PoolCounters,
-    progress: bool,
-    timing: &mut GridTiming,
-) -> Vec<CellSim> {
-    let batch_insts = crate::pipeline_batch_insts();
-    let channel_batches = crate::pipeline_channel_batches();
-
-    // Plan: turn every group into a contiguous run of work items.
-    let mut plan: Vec<PipeItem> = Vec::new();
-    let mut pipelined_groups = 0usize;
-    let mut serial_groups = 0usize;
-    for (gi, group) in groups.iter().enumerate() {
-        let budget = workers - 1;
-        if budget < group.lanes.len() {
-            serial_groups += 1;
-            plan.push(PipeItem::Serial { gi, label: group_label(group) });
-            continue;
-        }
-        pipelined_groups += 1;
-        // Consumer budget: at least one shard per lane, never more shards
-        // than members, extras distributed round-robin over the lanes.
-        let mut shards: Vec<usize> = vec![1; group.lanes.len()];
-        let mut remaining = budget - group.lanes.len();
-        loop {
-            let mut progressed = false;
-            for (li, (_, members)) in group.lanes.iter().enumerate() {
-                if remaining == 0 {
-                    break;
-                }
-                if shards[li] < members.len() {
-                    shards[li] += 1;
-                    remaining -= 1;
-                    progressed = true;
-                }
-            }
-            if remaining == 0 || !progressed {
-                break;
-            }
-        }
-        let mut sink_lanes: Vec<(IsaKind, BatchSink)> = Vec::with_capacity(group.lanes.len());
-        let mut consume_items: Vec<PipeItem> = Vec::new();
-        for (li, (isa, members)) in group.lanes.iter().enumerate() {
-            let mut senders = Vec::with_capacity(members.len());
-            let mut receivers = Vec::with_capacity(members.len());
-            for &ci in members {
-                let (tx, rx) = batch_channel(channel_batches);
-                senders.push(tx);
-                receivers.push((ci, descriptor_for(grid, cells, ci), rx));
-            }
-            sink_lanes.push((*isa, BatchSink::new(senders, batch_insts)));
-            // Split this lane's members contiguously across its shards.
-            let (per, extra) = (members.len() / shards[li], members.len() % shards[li]);
-            let mut iter = receivers.into_iter();
-            for s in 0..shards[li] {
-                let shard: Vec<_> = iter.by_ref().take(per + usize::from(s < extra)).collect();
-                let label = shard
-                    .iter()
-                    .map(|&(ci, _, _)| cell_label(grid, &cells[ci]))
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                consume_items.push(PipeItem::Consume { gi, label, members: shard });
-            }
-        }
-        plan.push(PipeItem::Produce {
-            gi,
-            label: format!("interpret {}", group_label(group)),
-            lanes: sink_lanes,
-        });
-        plan.append(&mut consume_items);
-    }
-
-    // Execute: `workers` threads claim items in order off the cursor.
-    let epoch = Instant::now();
-    let slots: Vec<Mutex<Option<PipeItem>>> =
-        plan.into_iter().map(|item| Mutex::new(Some(item))).collect();
-    let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<(String, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let pool: Mutex<MachinePool<'_>> = Mutex::new(MachinePool::new(counters));
-    let outcomes: Vec<PipeOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(slots.len()))
-            .map(|worker| {
-                let (slots, cursor, abort, failure, pool) =
-                    (&slots, &cursor, &abort, &failure, &pool);
-                scope.spawn(move || {
-                    let mut produced: Vec<PipeOutcome> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= slots.len() {
-                            break;
-                        }
-                        let item = lock_clean(&slots[i]).take();
-                        let Some(item) = item else { continue };
-                        if abort.load(Ordering::Relaxed) {
-                            // Claim-and-drop: dropping the item closes its
-                            // channel endpoints, unblocking peers mid-run.
-                            drop(item);
-                            continue;
-                        }
-                        let label = item.label().to_string();
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            exec_pipe_item(item, grid, cells, groups, pool, &epoch, worker)
-                        })) {
-                            Ok(outcome) => {
-                                if progress {
-                                    report_progress(groups, &outcome);
-                                }
-                                produced.push(outcome);
-                            }
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                let mut first = lock_clean(failure);
-                                if first.is_none() {
-                                    *first = Some((label, payload));
-                                }
-                                // Keep claiming so the remaining items are
-                                // dropped and no peer blocks forever.
-                            }
-                        }
-                    }
-                    produced
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pipeline workers catch their own panics"))
-            .collect()
-    });
-    if let Some((label, payload)) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        raise_labeled(&label, payload);
-    }
-
-    // Assemble: group spans, per-cell results, occupancy, span records.
-    let mut spans: Vec<(u64, u64)> = vec![(u64::MAX, 0); groups.len()];
-    let mut sim_slots: Vec<Option<CellSim>> = vec![None; cells.len()];
-    let (mut busy_ns, mut consumer_span_ns) = (0u64, 0u64);
-    for outcome in outcomes {
-        let (start, end) = &mut spans[outcome.gi];
-        *start = (*start).min(outcome.start_ns);
-        *end = (*end).max(outcome.end_ns);
-        timing.functional_instructions += outcome.executed;
-        if outcome.is_consumer {
-            busy_ns += outcome.busy_ns;
-            consumer_span_ns += outcome.end_ns.saturating_sub(outcome.start_ns);
-        }
-        timing.spans.push(SpanRec {
-            name: outcome.label,
-            cat: outcome.kind,
-            tid: outcome.worker,
-            start_ns: outcome.start_ns,
-            dur_ns: outcome.end_ns.saturating_sub(outcome.start_ns),
-            wait_ns: outcome.wait_ns,
-            insts: outcome.executed,
-        });
-        for (ci, sim) in outcome.sims {
-            sim_slots[ci] = Some(sim);
-        }
-    }
-    // Span order would otherwise follow thread-join order; sort by start time
-    // so the meta section and trace export read chronologically.
-    timing.spans.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then_with(|| a.name.cmp(&b.name)));
-    timing.functional_passes += groups.len();
-    timing.cell_wall_ns = vec![0; cells.len()];
-    for (group, &(start, end)) in groups.iter().zip(&spans) {
-        let span = end.saturating_sub(start);
-        timing.sim_wall_ns += span;
-        for (_, members) in &group.lanes {
-            for &ci in members {
-                timing.cell_wall_ns[ci] = span;
-            }
-        }
-    }
-    timing.pipeline = Some(PipelineStats {
-        batch_insts,
-        channel_batches,
-        pipelined_groups,
-        serial_groups,
-        occupancy: (consumer_span_ns > 0).then(|| busy_ns as f64 / consumer_span_ns as f64),
-    });
-    sim_slots.into_iter().map(|s| s.expect("every cell belongs to one group")).collect()
-}
-
-/// One live stderr progress line per completed pipeline work item: the
-/// group's identity plus — for consumer shards — the shard's occupancy
-/// (share of its span spent simulating rather than blocked on `recv`).
-fn report_progress(groups: &[FanGroup], outcome: &PipeOutcome) {
-    let group = group_label(&groups[outcome.gi]);
-    let ms = outcome.end_ns.saturating_sub(outcome.start_ns) / 1_000_000;
-    if outcome.is_consumer {
-        let span = outcome.end_ns.saturating_sub(outcome.start_ns);
-        let occupancy = if span == 0 { 1.0 } else { outcome.busy_ns as f64 / span as f64 };
-        eprintln!(
-            "  {group}: consumer shard done, {} cell(s), occupancy {:.0}% ({ms} ms)",
-            outcome.sims.len(),
-            occupancy * 100.0
-        );
-    } else {
-        eprintln!("  {group}: {} done ({ms} ms)", outcome.kind);
-    }
-}
-
-/// Execute one claimed [`PipeItem`] (on the worker's thread).
-fn exec_pipe_item(
-    item: PipeItem,
-    grid: &GridSpec,
-    cells: &[Cell],
-    groups: &[FanGroup],
-    pool: &Mutex<MachinePool<'_>>,
-    epoch: &Instant,
-    worker: usize,
-) -> PipeOutcome {
-    let now_ns = || epoch.elapsed().as_nanos() as u64;
-    match item {
-        PipeItem::Serial { gi, label } => {
-            let group = &groups[gi];
-            let start_ns = now_ns();
-            let mut lane_machines: Vec<Vec<SimMachine>> =
-                take_lane_machines(grid, cells, group, &mut lock_clean(pool));
-            let (lane_sims, executed) = run_fan_group_serial(grid, group, &mut lane_machines);
-            lock_clean(pool).put(lane_machines.into_iter().flatten());
-            let sims = group
-                .lanes
-                .iter()
-                .zip(lane_sims)
-                .flat_map(|((_, members), sims)| members.iter().copied().zip(sims))
-                .collect();
-            PipeOutcome {
-                gi,
-                sims,
-                executed,
-                start_ns,
-                end_ns: now_ns(),
-                busy_ns: 0,
-                wait_ns: 0,
-                is_consumer: false,
-                kind: "serial",
-                label,
-                worker,
-            }
-        }
-        PipeItem::Produce { gi, lanes, label } => {
-            let group = &groups[gi];
-            let start_ns = now_ns();
-            let executed = match group.workload {
-                Workload::Kernel(_) => {
-                    let (isa, mut sink) =
-                        lanes.into_iter().next().expect("kernel group has one lane");
-                    let executed =
-                        interpret_into(group.workload, isa, grid.scale, grid.seed, &mut sink);
-                    sink.finish();
-                    executed
-                }
-                Workload::App(app) => {
-                    let params = AppParams { seed: grid.seed, scale: grid.scale };
-                    let (_, interpreted) = stream_app_pipelined(app, &params, lanes)
-                        .unwrap_or_else(|e| panic!("{app} failed to build: {e}"));
-                    interpreted
-                }
-            };
-            PipeOutcome {
-                gi,
-                sims: Vec::new(),
-                executed,
-                start_ns,
-                end_ns: now_ns(),
-                busy_ns: 0,
-                wait_ns: 0,
-                is_consumer: false,
-                kind: "produce",
-                label,
-                worker,
-            }
-        }
-        PipeItem::Consume { gi, members, label } => {
-            let start_ns = now_ns();
-            let mut machines: Vec<SimMachine> = {
-                let mut pool = lock_clean(pool);
-                members.iter().map(|(_, descriptor, _)| pool.take(descriptor)).collect()
-            };
-            let mut wait_ns = 0u64;
-            let finished: Vec<(SimResult, ProbeReport)> = {
-                let mut streams: Vec<Option<SimStream<'_, AttributionProbe>>> =
-                    machines.iter_mut().map(|m| Some(m.sim_probed())).collect();
-                let mut done: Vec<Option<(SimResult, ProbeReport)>> = vec![None; members.len()];
-                let mut open = streams.len();
-                // Round-robin: one batch per open member per pass — the same
-                // member order the producer publishes in.
-                while open > 0 {
-                    for (k, slot) in streams.iter_mut().enumerate() {
-                        let Some(stream) = slot else { continue };
-                        let waited = Instant::now();
-                        let next = members[k].2.recv();
-                        wait_ns += waited.elapsed().as_nanos() as u64;
-                        match next {
-                            Some(batch) => {
-                                for inst in batch.iter() {
-                                    stream.feed(inst);
-                                }
-                            }
-                            None => {
-                                let (sim, probe) =
-                                    slot.take().expect("stream still open").finish_probed();
-                                done[k] = Some((sim, probe.into_report()));
-                                open -= 1;
-                            }
-                        }
-                    }
-                }
-                done.into_iter().map(|r| r.expect("every member finished")).collect()
-            };
-            let results = attach_mem_stats(finished, &machines);
-            lock_clean(pool).put(machines);
-            let end_ns = now_ns();
-            PipeOutcome {
-                gi,
-                sims: members.iter().map(|&(ci, ..)| ci).zip(results).collect(),
-                executed: 0,
-                start_ns,
-                end_ns,
-                busy_ns: end_ns.saturating_sub(start_ns).saturating_sub(wait_ns),
-                wait_ns,
-                is_consumer: true,
-                kind: "consume",
-                label,
-                worker,
-            }
-        }
-    }
-}
-
 /// Lock a mutex, tolerating poisoning: a worker that panicked inside a
-/// critical section already recorded its failure through the abort path, so
-/// the data (machine pool, failure slot) is still safe to use.
+/// critical section already recorded its failure, so the failure slot is
+/// still safe to use.
 fn lock_clean<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -2008,7 +1516,6 @@ fn run_grid(
     cache: Option<&CacheContext<'_>>,
 ) -> (Vec<CellResult>, GridTiming, Option<GridCacheOutcome>) {
     let cells = grid.cells();
-    let descriptor_of = |cell: &Cell| grid.configs[cell.config].descriptor(cell.way);
 
     // Cache lookup stage: resolve every cell's content address and pull its
     // record if one exists. Hit cells never reach the execution arms below —
@@ -2057,142 +1564,45 @@ fn run_grid(
         .map(|(i, _)| i)
         .collect();
 
-    // Each simulation work unit is timed individually so the JSON `meta`
-    // section can report simulator throughput (insts_per_sec) per cell. In
-    // materialized mode the measured span is the trace replay alone; in
-    // streamed mode it is the fused per-cell interpret+simulate pass; in
-    // fan-out and sampled mode it is the shared group pass (every member of
-    // a group carries the same span — see EXPERIMENTS.md).
+    // Each fan-out group is timed individually so the JSON `meta` section
+    // can report simulator throughput (insts_per_sec): every member of a
+    // group carries the group's shared span (see EXPERIMENTS.md).
     let counters = PoolCounters::default();
     let mut timing = GridTiming::default();
     let active_sims: Vec<CellSim> = if active.is_empty() {
         Vec::new()
     } else {
-        match mode {
-        ExecMode::Fanout => {
-            let groups = fanout_groups(grid, &active);
-            if workers <= 1 {
-                // One worker: the serial Broadcast path — each group's
-                // interpreter drives all member simulators on this thread,
-                // no channels, no extra threads.
-                run_groups(grid, &active, &groups, 1, &counters, &mut timing, |group, machines| {
-                    run_fan_group_serial(grid, group, machines)
-                })
-            } else {
-                run_fanout_pipelined(grid, &active, &groups, workers, &counters, progress, &mut timing)
+        // Sampling knobs for an estimated run; `None` runs the exact engine.
+        // The rate-1 sentinel runs the exact engine too, so its byte-identity
+        // with exact runs gates the sampling plumbing rather than a
+        // reimplementation of the exact path.
+        let sampling = match mode {
+            ExecMode::Sampled { unit_insts, warmup_insts, period } if period > 0 => {
+                Some(SamplingParams { unit: unit_insts, warmup: warmup_insts, period })
             }
-        }
-        // The rate-1 sentinel routes through the *literal* streamed code
-        // path: byte-identity with the exact modes is the correctness gate
-        // of the sampling machinery, so it must not be a reimplementation.
-        ExecMode::Streamed | ExecMode::Sampled { period: 0, .. } => {
-            // No stage 1 — every cell runs the fused pipeline, rebuilding its
-            // workload on the fly.
-            let outcomes = parallel_map_with(
-                &active,
-                workers,
-                || MachinePool::new(&counters),
-                |cell| cell_label(grid, cell),
-                |pool, cell| {
-                    let config = &grid.configs[cell.config];
-                    let started = Instant::now();
-                    let mut machine = pool.take(&descriptor_of(cell));
-                    let (sim, report) = {
-                        let mut stream = machine.sim_probed();
-                        interpret_into(cell.workload, config.isa, grid.scale, grid.seed, &mut stream);
-                        let (sim, probe) = stream.finish_probed();
-                        (sim, probe.into_report())
-                    };
-                    let mem = machine.mem_stats();
-                    let ns = started.elapsed().as_nanos() as u64;
-                    pool.put([machine]);
-                    (CellSim { sim, probe: report, mem, sampling: None }, ns)
-                },
-            );
-            timing.functional_passes = active.len();
-            let mut sims = Vec::with_capacity(active.len());
-            for (cs, ns) in outcomes {
-                timing.cell_wall_ns.push(ns);
-                timing.sim_wall_ns += ns;
-                timing.functional_instructions += cs.sim.committed;
-                sims.push(cs);
-            }
-            sims
-        }
-        ExecMode::Materialized => {
-            // Stage 1: build every distinct (workload, ISA) trace once, in parallel.
-            let mut pairs: Vec<(Workload, IsaKind)> = Vec::new();
-            for cell in &active {
-                let pair = (cell.workload, grid.configs[cell.config].isa);
-                if !pairs.contains(&pair) {
-                    pairs.push(pair);
+            ExecMode::Fanout | ExecMode::Sampled { .. } => None,
+        };
+        let groups = fanout_groups(grid, &active);
+        run_groups(grid, &active, &groups, workers, &counters, &mut timing, |group, machines| {
+            match (sampling, group.workload) {
+                (None, _) => run_fan_group_serial(grid, group, machines),
+                // SMARTS-style sampling still interprets each group once;
+                // every member alternates its own detailed windows with the
+                // group's shared functional fast-forward.
+                (Some(sp), Workload::Kernel(kernel)) => {
+                    sample_kernel_group(kernel, grid, &active, group, machines, sp, ckpt)
                 }
+                (Some(sp), Workload::App(app)) => sample_app_group(app, grid, group, machines, sp),
             }
-            let traces = parallel_map_with(
-                &pairs,
-                workers,
-                || (),
-                |&(workload, isa)| format!("trace {} ({})", workload.label(), isa.label()),
-                |(), &(workload, isa)| build_trace(workload, isa, grid.scale, grid.seed),
-            );
-            timing.functional_passes = pairs.len();
-            timing.functional_instructions = traces.iter().map(|t| t.len() as u64).sum();
-            let trace_of = |workload: Workload, isa: IsaKind| -> &Trace {
-                let idx =
-                    pairs.iter().position(|&p| p == (workload, isa)).expect("trace was built");
-                &traces[idx]
-            };
-
-            // Stage 2: simulate every cell, in parallel.
-            let outcomes = parallel_map_with(
-                &active,
-                workers,
-                || MachinePool::new(&counters),
-                |cell| cell_label(grid, cell),
-                |pool, cell| {
-                    let config = &grid.configs[cell.config];
-                    let trace = trace_of(cell.workload, config.isa);
-                    let started = Instant::now();
-                    let mut machine = pool.take(&descriptor_of(cell));
-                    let (sim, report) = machine.simulate_trace_probed(trace);
-                    let mem = machine.mem_stats();
-                    let ns = started.elapsed().as_nanos() as u64;
-                    pool.put([machine]);
-                    (CellSim { sim, probe: report, mem, sampling: None }, ns)
-                },
-            );
-            let mut sims = Vec::with_capacity(active.len());
-            for (cs, ns) in outcomes {
-                timing.cell_wall_ns.push(ns);
-                timing.sim_wall_ns += ns;
-                sims.push(cs);
-            }
-            sims
-        }
-        ExecMode::Sampled { unit_insts, warmup_insts, period } => {
-            // SMARTS-style sampling (period >= 1; period 0 took the streamed
-            // arm above): each fan-out group interprets its workload once
-            // and every member alternates its own detailed windows with the
-            // group's shared functional fast-forward.
-            let sp = SamplingParams { unit: unit_insts, warmup: warmup_insts, period };
-            let groups = fanout_groups(grid, &active);
-            run_groups(grid, &active, &groups, workers, &counters, &mut timing, |group, machines| {
-                match group.workload {
-                    Workload::Kernel(kernel) => {
-                        sample_kernel_group(kernel, grid, &active, group, machines, sp, ckpt)
-                    }
-                    Workload::App(app) => sample_app_group(app, grid, group, machines, sp),
-                }
-            })
-        }
-        }
+        })
     };
     timing.pool = counters.stats();
 
     // Fill stage: persist every freshly simulated cell, then account for the
     // run. Fills happen before assembly so a panic-free run always leaves
-    // the cache consistent with the document it produced.
-    let mut fills = 0u64;
+    // the cache consistent with the document it produced. A failed write
+    // is a warning, never a lost run: the cell simply stays uncached.
+    let (mut fills, mut errors) = (0u64, 0u64);
     if let Some(cc) = cache {
         for (&i, cs) in active_idx.iter().zip(&active_sims) {
             let record = CellRecord {
@@ -2201,14 +1611,20 @@ fn run_grid(
                 mem: cs.mem,
                 sampling: cs.sampling.clone(),
             };
-            cc.cache.store(&keys[i], &record);
-            fills += 1;
+            match cc.cache.store(&keys[i], &record) {
+                Ok(()) => fills += 1,
+                Err(e) => {
+                    eprintln!("warning: cache fill failed for {}: {e}", keys[i].cell);
+                    errors += 1;
+                }
+            }
         }
     }
     let outcome = cache.map(|_| GridCacheOutcome {
         hits: (cells.len() - active.len()) as u64,
         misses: active.len() as u64,
         fills,
+        errors,
         cached: cached_sims.iter().map(Option::is_some).collect(),
     });
 
@@ -2439,7 +1855,6 @@ impl RunResult {
         let mut meta_members = vec![
             ("workers", Value::Int(self.workers as i64)),
             ("wall_ms", Value::Int(self.wall_ms as i64)),
-            ("streamed", Value::Bool(self.mode.is_streamed())),
             ("mode", Value::Str(self.mode.label().into())),
             ("generated_by", Value::Str(format!("momlab {}", env!("CARGO_PKG_VERSION")))),
             // Which execution engine produced the numbers, so perf
@@ -2477,31 +1892,12 @@ impl RunResult {
                 ]),
             ),
         ];
-        if let Some(pipeline) = &self.pipeline {
-            // Pipelined fan-out accounting: batch/channel geometry plus how
-            // much of the consumer shards' wall-clock was spent simulating
-            // (vs blocked on the interpreter). Present exactly when the
-            // pipelined scheduler ran (fanout mode, 2+ workers).
-            meta_members.push((
-                "pipeline",
-                Value::object(vec![
-                    ("batch_insts", Value::Int(pipeline.batch_insts as i64)),
-                    ("channel_batches", Value::Int(pipeline.channel_batches as i64)),
-                    ("pipelined_groups", Value::Int(pipeline.pipelined_groups as i64)),
-                    ("serial_groups", Value::Int(pipeline.serial_groups as i64)),
-                    (
-                        "occupancy",
-                        pipeline.occupancy.map(Value::Float).unwrap_or(Value::Null),
-                    ),
-                ]),
-            ));
-        }
         if let Some(cells) = self.cells() {
             // The functional-sharing accounting: how many interpreter passes
             // this run performed, how many instructions they executed, and
             // what per-cell interpretation would have cost instead. The
             // sharing factor is the instruction-weighted amortization of the
-            // fan-out runner (1.0 in streamed mode by construction).
+            // fan-out runner.
             meta_members.push((
                 "shared_passes",
                 Value::object(vec![
@@ -2571,14 +1967,15 @@ impl RunResult {
                     ("hits", Value::Int(cache.hits as i64)),
                     ("misses", Value::Int(cache.misses as i64)),
                     ("fills", Value::Int(cache.fills as i64)),
+                    ("errors", Value::Int(cache.errors as i64)),
                     ("bytes", Value::Int(cache.bytes as i64)),
                     ("dir", Value::Str(cache.dir.clone())),
                 ]),
             ));
         }
         if !self.spans.is_empty() {
-            // Scheduler span trace (fan-out and sampled modes): one entry per
-            // work item, chronological. Informational — never diffed.
+            // Scheduler span trace: one entry per fan-out group,
+            // chronological. Informational — never diffed.
             meta_members.push((
                 "spans",
                 Value::Array(self.spans.iter().map(span_json).collect()),
@@ -2782,11 +2179,10 @@ fn intervals_json(iv: &IntervalStats) -> Value {
 fn span_json(span: &SpanRec) -> Value {
     Value::object(vec![
         ("name", Value::Str(span.name.clone())),
-        ("cat", Value::Str(span.cat.into())),
+        ("cat", Value::Str("serial".into())),
         ("tid", Value::Int(span.tid as i64)),
         ("start_ns", Value::Int(span.start_ns as i64)),
         ("dur_ns", Value::Int(span.dur_ns as i64)),
-        ("wait_ns", Value::Int(span.wait_ns as i64)),
         ("insts", Value::Int(span.insts as i64)),
     ])
 }
@@ -2931,58 +2327,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_fanout_matches_serial_and_reports_pipeline_meta() {
-        let spec = figure5_spec(&[KernelKind::Compensation], 1, 1, true);
-        let serial = run_with(&spec, 1);
-        let piped = run_with(&spec, 3);
-        // Byte-identical results; only meta differs.
-        assert_eq!(
-            serial.results_json().to_pretty(),
-            piped.results_json().to_pretty(),
-            "pipelined fan-out diverged from the serial broadcast"
-        );
-        assert!(serial.pipeline.is_none(), "one worker never pipelines");
-        let stats = piped.pipeline.as_ref().expect("2+ workers run the pipelined scheduler");
-        // Kernel groups (single lane) always pipeline when workers >= 2.
-        assert_eq!(stats.pipelined_groups, 4);
-        assert_eq!(stats.serial_groups, 0);
-        assert_eq!(stats.batch_insts, crate::pipeline_batch_insts());
-        assert_eq!(stats.channel_batches, crate::pipeline_channel_batches());
-        let occupancy = stats.occupancy.expect("pipelined groups report occupancy");
-        assert!((0.0..=1.0).contains(&occupancy), "occupancy {occupancy}");
-        // The meta section carries the same numbers.
-        let doc = piped.document_json();
-        let pipeline = doc.get("meta").and_then(|m| m.get("pipeline")).expect("meta.pipeline");
-        assert_eq!(
-            pipeline.get("batch_insts").and_then(Value::as_i64),
-            Some(stats.batch_insts as i64)
-        );
-        assert_eq!(pipeline.get("pipelined_groups").and_then(Value::as_i64), Some(4));
-        assert!(pipeline.get("occupancy").and_then(Value::as_f64).is_some());
-        // And the serial run's meta has no pipeline section.
-        assert!(serial.document_json().get("meta").and_then(|m| m.get("pipeline")).is_none());
-    }
-
-    #[test]
-    fn app_groups_fall_back_to_serial_when_workers_cannot_cover_their_lanes() {
-        let spec = ExperimentSpec::builtin("figure7", 1, true).expect("figure7 is built in");
-        // figure7 app groups span 4 ISA lanes; 2 workers cannot field an
-        // interpreter plus one shard per lane, so the groups run serially —
-        // but still through the pipelined scheduler's accounting.
-        let narrow = run_with(&spec, 2);
-        let stats = narrow.pipeline.as_ref().expect("pipelined scheduler ran");
-        assert_eq!(stats.pipelined_groups, 0);
-        assert!(stats.serial_groups > 0);
-        assert!(stats.occupancy.is_none(), "no consumer shards ran");
-        // With enough workers the same groups pipeline, byte-identically.
-        let wide = run_with(&spec, 6);
-        let wide_stats = wide.pipeline.as_ref().expect("pipelined scheduler ran");
-        assert_eq!(wide_stats.serial_groups, 0);
-        assert_eq!(wide_stats.pipelined_groups, stats.serial_groups);
-        assert_eq!(narrow.results_json().to_pretty(), wide.results_json().to_pretty());
-    }
-
-    #[test]
     fn static_experiments_run_and_serialize() {
         for name in ["table1", "table2", "table3", "isa_inventory"] {
             let spec = ExperimentSpec::builtin(name, 1, false).unwrap();
@@ -3054,7 +2398,7 @@ mod tests {
         let doc = result.document_json();
         let meta = doc.get("meta").expect("meta present");
         assert_eq!(meta.get("mode").and_then(Value::as_str), Some("fanout"));
-        assert_eq!(meta.get("streamed"), Some(&Value::Bool(true)));
+        assert!(meta.get("streamed").is_none() && meta.get("pipeline").is_none());
         let sp = meta.get("shared_passes").expect("shared_passes present");
         assert_eq!(sp.get("cells").and_then(Value::as_i64), Some(16));
         assert_eq!(sp.get("functional_passes").and_then(Value::as_i64), Some(4));
@@ -3089,21 +2433,71 @@ mod tests {
     #[test]
     fn exec_mode_labels() {
         assert_eq!(ExecMode::Fanout.label(), "fanout");
-        assert_eq!(ExecMode::Streamed.label(), "streamed");
-        assert_eq!(ExecMode::Materialized.label(), "materialized");
-        assert!(ExecMode::Fanout.is_streamed());
-        assert!(!ExecMode::Materialized.is_streamed());
         let sampled = ExecMode::Sampled {
             unit_insts: DEFAULT_SAMPLE_UNIT,
             warmup_insts: DEFAULT_SAMPLE_WARMUP,
             period: DEFAULT_SAMPLE_PERIOD,
         };
         assert_eq!(sampled.label(), "sampled");
-        assert!(sampled.is_streamed());
         assert!(sampled.is_estimated());
-        assert!(!ExecMode::Streamed.is_estimated());
+        assert!(!ExecMode::Fanout.is_estimated());
         // Rate 1 (period 0) is exact, not an estimate.
         assert!(!ExecMode::Sampled { unit_insts: 1, warmup_insts: 0, period: 0 }.is_estimated());
+    }
+
+    #[test]
+    fn sampled_constructor_accepts_valid_knobs() {
+        let defaults =
+            ExecMode::sampled(DEFAULT_SAMPLE_UNIT, DEFAULT_SAMPLE_WARMUP, DEFAULT_SAMPLE_PERIOD);
+        assert_eq!(
+            defaults,
+            Ok(ExecMode::Sampled {
+                unit_insts: DEFAULT_SAMPLE_UNIT,
+                warmup_insts: DEFAULT_SAMPLE_WARMUP,
+                period: DEFAULT_SAMPLE_PERIOD,
+            })
+        );
+        // A period holding exactly one window is the tightest valid one.
+        assert!(ExecMode::sampled(50, 50, 100).is_ok());
+    }
+
+    #[test]
+    fn sampled_constructor_rejects_a_zero_unit() {
+        let err = ExecMode::sampled(0, 10, 100).expect_err("unit 0 measures nothing");
+        assert!(err.contains("at least 1"), "{err}");
+        // Even the rate-1 sentinel needs a unit.
+        assert!(ExecMode::sampled(0, 0, 0).is_err());
+    }
+
+    #[test]
+    fn sampled_constructor_rejects_an_overflowing_window() {
+        // warmup + unit wraps to 0 in release builds; it must be an error,
+        // not a window that fits every period.
+        let err = ExecMode::sampled(1, u64::MAX, DEFAULT_SAMPLE_PERIOD)
+            .expect_err("warmup + unit overflows");
+        assert!(err.contains("overflows"), "{err}");
+        assert!(ExecMode::sampled(u64::MAX, 1, 0).is_err());
+    }
+
+    #[test]
+    fn sampled_constructor_rejects_a_period_shorter_than_its_window() {
+        let err = ExecMode::sampled(50, 50, 99).expect_err("period below warmup + unit");
+        assert!(err.contains("shorter than"), "{err}");
+    }
+
+    #[test]
+    fn sampled_constructor_accepts_period_zero_as_rate_one() {
+        let rate1 = ExecMode::sampled(DEFAULT_SAMPLE_UNIT, DEFAULT_SAMPLE_WARMUP, 0)
+            .expect("period 0 is the rate-1 sentinel");
+        assert!(!rate1.is_estimated());
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than")]
+    fn run_cached_rejects_invalid_sampling_knobs() {
+        let spec = figure5_spec(&[KernelKind::Compensation], 1, 1, true);
+        let invalid = ExecMode::Sampled { unit_insts: 1, warmup_insts: u64::MAX - 1, period: 10 };
+        run_cached(&spec, 1, invalid, false, None, None);
     }
 
     #[test]

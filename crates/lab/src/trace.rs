@@ -1,10 +1,10 @@
 //! Chrome trace-event export of the runner's scheduler spans.
 //!
 //! [`chrome_trace`] turns the per-run [`SpanRec`] lists collected by the
-//! fan-out and sampled schedulers into the Trace Event Format consumed by
+//! group scheduler into the Trace Event Format consumed by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one process
 //! per experiment spec, one track (`tid`) per worker thread, one complete
-//! (`ph: "X"`) event per work item. Channel wait time and interpreted
+//! (`ph: "X"`, `cat: "serial"`) event per fan-out group. Interpreted
 //! instruction counts ride along in each event's `args`.
 //!
 //! Written by `momlab run --trace-out <file>`; the output is wall-clock
@@ -33,19 +33,13 @@ pub fn chrome_trace(processes: &[(String, Vec<SpanRec>)]) -> Value {
         for span in spans {
             events.push(Value::object(vec![
                 ("name", Value::Str(span.name.clone())),
-                ("cat", Value::Str(span.cat.into())),
+                ("cat", Value::Str("serial".into())),
                 ("ph", Value::Str("X".into())),
                 ("ts", Value::Float(span.start_ns as f64 / 1000.0)),
                 ("dur", Value::Float(span.dur_ns as f64 / 1000.0)),
                 ("pid", Value::Int(pid)),
                 ("tid", Value::Int(span.tid as i64)),
-                (
-                    "args",
-                    Value::object(vec![
-                        ("wait_us", Value::Float(span.wait_ns as f64 / 1000.0)),
-                        ("insts", Value::Int(span.insts as i64)),
-                    ]),
-                ),
+                ("args", Value::object(vec![("insts", Value::Int(span.insts as i64))])),
             ]));
         }
     }
@@ -61,15 +55,15 @@ mod tests {
     use crate::runner::{run_with_mode, ExecMode};
     use crate::spec::ExperimentSpec;
 
-    fn span(name: &str, cat: &'static str, tid: usize, start_ns: u64, dur_ns: u64) -> SpanRec {
-        SpanRec { name: name.into(), cat, tid, start_ns, dur_ns, wait_ns: 250, insts: 42 }
+    fn span(name: &str, tid: usize, start_ns: u64, dur_ns: u64) -> SpanRec {
+        SpanRec { name: name.into(), tid, start_ns, dur_ns, insts: 42 }
     }
 
     #[test]
     fn trace_document_has_one_process_per_spec() {
         let doc = chrome_trace(&[
-            ("figure5".into(), vec![span("interpret idct", "produce", 0, 0, 5_000)]),
-            ("figure7".into(), vec![span("jpeg / mom (4-way)", "consume", 1, 2_000, 3_000)]),
+            ("figure5".into(), vec![span("idct [mom]", 0, 0, 5_000)]),
+            ("figure7".into(), vec![span("jpeg encode [alpha+mom]", 1, 2_000, 3_000)]),
         ]);
         let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
         // Two metadata events + two span events.
@@ -78,31 +72,37 @@ mod tests {
             events.iter().filter_map(|e| e.get("ph").and_then(Value::as_str)).collect();
         assert_eq!(phases, ["M", "X", "M", "X"]);
         // Span timestamps are microseconds.
-        let consume = &events[3];
-        assert_eq!(consume.get("ts").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(consume.get("dur").and_then(Value::as_f64), Some(3.0));
-        assert_eq!(consume.get("pid").and_then(Value::as_i64), Some(2));
-        assert_eq!(consume.get("tid").and_then(Value::as_i64), Some(1));
-        let args = consume.get("args").unwrap();
-        assert_eq!(args.get("wait_us").and_then(Value::as_f64), Some(0.25));
+        let group = &events[3];
+        assert_eq!(group.get("ts").and_then(Value::as_f64), Some(2.0));
+        assert_eq!(group.get("dur").and_then(Value::as_f64), Some(3.0));
+        assert_eq!(group.get("pid").and_then(Value::as_i64), Some(2));
+        assert_eq!(group.get("tid").and_then(Value::as_i64), Some(1));
+        assert_eq!(group.get("cat").and_then(Value::as_str), Some("serial"));
+        let args = group.get("args").unwrap();
         assert_eq!(args.get("insts").and_then(Value::as_i64), Some(42));
         // The document parses back as JSON (what --trace-out writes).
         let text = doc.to_pretty();
         assert!(Value::parse(&text).is_ok(), "trace JSON parses back: {text}");
     }
 
+    /// Every grid run — exact, rate-1 sampled and estimated sampled — traces
+    /// exactly one `serial` span per functional pass, at any worker count.
     #[test]
     fn sampled_runs_trace_one_serial_span_per_group() {
         let spec = ExperimentSpec::builtin("stress", 1, true).expect("stress is built in");
-        let mode = ExecMode::Sampled { unit_insts: 50, warmup_insts: 50, period: 400 };
-        for workers in [1, 2] {
+        let modes = [
+            ExecMode::Fanout,
+            ExecMode::Sampled { unit_insts: 50, warmup_insts: 50, period: 0 },
+            ExecMode::Sampled { unit_insts: 50, warmup_insts: 50, period: 400 },
+        ];
+        for (mode, workers) in modes.into_iter().flat_map(|m| [(m, 1), (m, 2)]) {
             let result = run_with_mode(&spec, workers, mode);
             let doc = chrome_trace(&[(spec.name.clone(), result.spans.clone())]);
             let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
             let spans: Vec<&Value> =
                 events.iter().filter(|e| e.get("ph").and_then(Value::as_str) == Some("X")).collect();
-            assert!(!spans.is_empty(), "sampled run at {workers} worker(s) traced no spans");
-            assert_eq!(spans.len(), result.functional_passes, "one span per sampled group");
+            assert!(!spans.is_empty(), "{mode:?} at {workers} worker(s) traced no spans");
+            assert_eq!(spans.len(), result.functional_passes, "{mode:?}: one span per group");
             assert!(spans.iter().all(|e| e.get("cat").and_then(Value::as_str) == Some("serial")));
             let insts: i64 = spans
                 .iter()

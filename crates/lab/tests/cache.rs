@@ -1,9 +1,10 @@
 //! Integration tests of the persistent cell cache: a warm run serves every
 //! cell from disk (100% hits, zero simulation) and still produces
-//! byte-identical results documents — in every execution mode, including a
-//! cache filled by one mode and served to all the others, and for sampled
+//! byte-identical results documents — at any worker count, including a
+//! cache filled at one worker count and served to another, and for sampled
 //! runs whose records carry the confidence-interval section. Also covers the
-//! throughput accounting (cached cells are exempt) and partial warmth.
+//! throughput accounting (cached cells are exempt), partial warmth, and a
+//! cache that cannot be written at all.
 
 use std::path::PathBuf;
 
@@ -15,11 +16,21 @@ use mom_lab::{CellCache, RunResult};
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("momlab-cachetest-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&dir);
     dir
 }
 
 fn run(spec: &ExperimentSpec, mode: ExecMode, cache: Option<&CellCache>) -> RunResult {
-    run_cached(spec, 2, mode, false, None, cache)
+    run_at(spec, 2, mode, cache)
+}
+
+fn run_at(
+    spec: &ExperimentSpec,
+    workers: usize,
+    mode: ExecMode,
+    cache: Option<&CellCache>,
+) -> RunResult {
+    run_cached(spec, workers, mode, false, None, cache)
 }
 
 fn meta(result: &RunResult) -> &mom_lab::CacheMeta {
@@ -64,32 +75,61 @@ fn warm_rerun_is_all_hits_and_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A cache filled by ONE exact mode serves every other exact mode
-/// byte-identically: fanout fills; streamed, materialized and
-/// `--sampled --sample-period 0` (the exact sampled degenerate) all run at
-/// 100% hits without simulating anything.
+/// A cache filled by ONE exact run serves every other exact run
+/// byte-identically, whatever its worker count or exact mode: a one-worker
+/// fan-out run fills; a two-worker fan-out run and a two-worker
+/// `--sampled --sample-period 0` run (the exact sampled degenerate) both
+/// hit every cell without simulating anything.
 #[test]
 fn one_exact_mode_fills_for_all_the_others() {
-    let dir = scratch("crossmode");
+    let dir = scratch("crossworkers");
     let cache = CellCache::open(&dir).expect("create cache dir");
     let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
 
-    let cold = run(&spec, ExecMode::Fanout, Some(&cache));
+    let cold = run_at(&spec, 1, ExecMode::Fanout, Some(&cache));
     let cells = cold.cells().expect("grid result").len() as u64;
+    assert_eq!(meta(&cold).fills, cells);
     let reference = cold.results_json().to_pretty();
 
-    for mode in [
-        ExecMode::Streamed,
-        ExecMode::Materialized,
-        ExecMode::Sampled { unit_insts: 1000, warmup_insts: 2000, period: 0 },
-    ] {
-        let warm = run(&spec, mode, Some(&cache));
-        assert_eq!(meta(&warm).hits, cells, "{mode:?} missed a fanout-filled cell");
+    for mode in
+        [ExecMode::Fanout, ExecMode::Sampled { unit_insts: 1000, warmup_insts: 2000, period: 0 }]
+    {
+        let warm = run_at(&spec, 2, mode, Some(&cache));
+        assert_eq!(meta(&warm).hits, cells, "{mode:?} at 2 workers missed a cell");
         assert_eq!(meta(&warm).fills, 0);
         assert_eq!(warm.results_json().to_pretty(), reference, "{mode:?} diverged");
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache that stops accepting writes never costs the run: with the cache
+/// directory replaced by a regular file every lookup misses and every fill
+/// fails, yet the run completes without a panic, its results equal the
+/// uncached run byte for byte, and `meta.cache` counts each failed fill
+/// under `errors` instead of `fills`. (A file rather than permission bits,
+/// because root ignores permission bits.)
+#[test]
+fn a_failed_cache_fill_keeps_the_finished_run() {
+    let dir = scratch("unwritable");
+    let cache = CellCache::open(&dir).expect("create cache dir");
+    std::fs::remove_dir_all(&dir).expect("remove the cache directory");
+    std::fs::write(&dir, b"not a directory").expect("plant a regular file");
+    let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
+
+    let broken = run(&spec, ExecMode::Fanout, Some(&cache));
+    let plain = run(&spec, ExecMode::Fanout, None);
+    let cells = plain.cells().expect("grid result").len() as u64;
+    assert_eq!(broken.results_json().to_pretty(), plain.results_json().to_pretty());
+    assert_eq!(meta(&broken).hits, 0);
+    assert_eq!(meta(&broken).misses, cells);
+    assert_eq!(meta(&broken).fills, 0);
+    assert_eq!(meta(&broken).errors, meta(&broken).misses);
+    let doc = broken.document_json();
+    let errors = doc.get("meta").and_then(|m| m.get("cache")).and_then(|c| c.get("errors"));
+    assert_eq!(errors.and_then(mom_lab::json::Value::as_i64), Some(cells as i64));
+
+    let _ = std::fs::remove_file(&dir);
 }
 
 /// Sampled records (nonzero period) key separately from exact ones — filling
@@ -102,7 +142,7 @@ fn sampled_records_key_separately_and_roundtrip_their_ci_section() {
     let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
     let sampled = ExecMode::Sampled { unit_insts: 200, warmup_insts: 400, period: 5_000 };
 
-    let exact = run(&spec, ExecMode::Streamed, Some(&cache));
+    let exact = run(&spec, ExecMode::Fanout, Some(&cache));
     let cells = exact.cells().expect("grid result").len() as u64;
 
     let cold = run(&spec, sampled, Some(&cache));
@@ -211,6 +251,7 @@ fn documents_report_cache_metadata_and_cached_cells() {
     assert_eq!(field("hits"), Some(warm.cells().unwrap().len() as i64));
     assert_eq!(field("misses"), Some(0));
     assert_eq!(field("fills"), Some(0));
+    assert_eq!(field("errors"), Some(0));
     assert!(field("bytes").unwrap_or(0) > 0);
     let throughput = doc
         .get("meta")

@@ -3,6 +3,8 @@
 //! worker count live only in the `meta` section, which is excluded from
 //! `results_json` by construction.
 
+mod support;
+
 use mom_lab::json::Value;
 use mom_lab::runner::run_with;
 use mom_lab::spec::ExperimentSpec;
@@ -41,44 +43,24 @@ fn every_builtin_experiment_is_deterministic_across_worker_counts() {
     }
 }
 
-/// The guarantee also spans the execution mode: the default fan-out runner
-/// (one shared functional pass per `(workload, ISA)` group broadcast to all
-/// member simulators), the fused per-cell streaming pipeline and the
-/// two-stage materialized runner all serialize byte-identically for every
-/// built-in experiment.
+/// The engine is not only deterministic but *right*: at 1, 2 and 7 workers
+/// every cell of every built-in experiment equals an independent replay of
+/// its materialized trace (the oracle in `support/`). Also pins the
+/// sharing accounting: one functional pass per fan-out group, never more
+/// than one per cell.
 #[test]
-fn all_three_execution_modes_are_byte_identical() {
-    use mom_lab::runner::{run_with_mode, ExecMode};
+fn every_builtin_matches_the_trace_replay_oracle_at_every_worker_count() {
+    use mom_lab::runner::ExecMode;
     for name in mom_lab::BUILTIN_EXPERIMENTS {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-        let fanout = run_with_mode(&spec, 2, ExecMode::Fanout);
-        let streamed = run_with_mode(&spec, 2, ExecMode::Streamed);
-        let materialized = run_with_mode(&spec, 2, ExecMode::Materialized);
-        assert_eq!(fanout.mode, ExecMode::Fanout);
-        assert!(fanout.mode.is_streamed() && streamed.mode.is_streamed());
-        assert!(!materialized.mode.is_streamed());
-        let reference = fanout.results_json().to_pretty();
-        assert_eq!(
-            reference,
-            streamed.results_json().to_pretty(),
-            "{name}: fan-out and streamed runs diverged"
-        );
-        assert_eq!(
-            reference,
-            materialized.results_json().to_pretty(),
-            "{name}: fan-out and materialized runs diverged"
-        );
-        // The sharing accounting: fan-out shares functional passes across
-        // grid cells (and scalar app phases across ISA lanes, so it can do
-        // strictly better than materialized stage-1 sharing); the per-cell
-        // streamed mode shares nothing.
-        if let Some(cells) = fanout.cells() {
-            assert!(fanout.functional_passes <= materialized.functional_passes);
-            assert!(materialized.functional_passes <= cells.len());
-            assert_eq!(streamed.functional_passes, cells.len());
-            assert!(fanout.functional_instructions <= materialized.functional_instructions);
-            assert!(fanout.sharing_factor() >= materialized.sharing_factor());
-            assert!(streamed.sharing_factor().is_none_or(|f| (f - 1.0).abs() < 1e-12));
+        for workers in [1, 2, 7] {
+            let run = run_with(&spec, workers);
+            assert_eq!(run.mode, ExecMode::Fanout);
+            support::assert_matches_trace_replay(&run);
+            if let Some(cells) = run.cells() {
+                assert!(run.functional_passes <= cells.len(), "{name}: more passes than cells");
+                assert_eq!(run.spans.len(), run.functional_passes, "{name}: one span per group");
+            }
         }
     }
 }

@@ -1,10 +1,11 @@
 //! The sampled execution mode's correctness contracts.
 //!
-//! * **Rate 1 is exact**: `ExecMode::Sampled` with `period == 0` routes
-//!   through the literal streamed code path, so its results document is
-//!   byte-identical to [`ExecMode::Streamed`] for every built-in experiment.
-//!   This is the gate that keeps the sampling machinery honest — any drift
-//!   in the shared plumbing shows up as a byte diff here.
+//! * **Rate 1 is exact**: `ExecMode::Sampled` with `period == 0` runs the
+//!   exact engine, so every cell of every built-in experiment equals an
+//!   independent replay of its materialized trace (the oracle in
+//!   `support/`). This is the gate that keeps the sampling machinery
+//!   honest — any drift in the shared plumbing shows up as a field diff
+//!   here.
 //! * **Sampling is deterministic**: the periodic schedule depends only on
 //!   instruction indices, never on worker count or timing, and each fan-out
 //!   group's functional pass is shared exactly as in the fan-out mode.
@@ -17,6 +18,8 @@
 //! * **Checkpoints resume exactly**: a run that persists checkpoints and a
 //!   run resumed from those files serialize byte-identically — also when
 //!   one member of a group lost its file and the group starts over.
+
+mod support;
 
 use mom_lab::runner::{
     run_with_mode, run_with_options, CheckpointConfig, ExecMode, DEFAULT_SAMPLE_UNIT,
@@ -31,18 +34,19 @@ const SMALL_SAMPLED: ExecMode =
     ExecMode::Sampled { unit_insts: 100, warmup_insts: 100, period: 500 };
 
 #[test]
-fn rate1_sampled_is_byte_identical_to_streamed_for_every_builtin() {
+fn rate1_sampled_matches_the_trace_replay_oracle_for_every_builtin() {
     let rate1 = ExecMode::Sampled {
         unit_insts: DEFAULT_SAMPLE_UNIT,
         warmup_insts: DEFAULT_SAMPLE_WARMUP,
         period: 0,
     };
-    assert!(rate1.is_streamed() && !rate1.is_estimated());
+    assert!(!rate1.is_estimated());
     for name in mom_lab::BUILTIN_EXPERIMENTS {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-        let exact = run_with_mode(&spec, 2, ExecMode::Streamed).results_json().to_pretty();
-        let sampled = run_with_mode(&spec, 2, rate1).results_json().to_pretty();
-        assert_eq!(exact, sampled, "{name}: rate-1 sampling diverged from streamed");
+        let run = run_with_mode(&spec, 2, rate1);
+        support::assert_matches_trace_replay(&run);
+        let doc = run.results_json().to_pretty();
+        assert!(!doc.contains("\"sampling\""), "{name}: rate 1 reports no estimates");
     }
 }
 
@@ -70,7 +74,7 @@ fn sampled_runs_are_deterministic_across_worker_counts() {
 #[test]
 fn sampled_estimates_stay_anchored_to_the_exact_run() {
     let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
-    let exact = run_with_mode(&spec, 2, ExecMode::Streamed);
+    let exact = run_with_mode(&spec, 2, ExecMode::Fanout);
     let sampled = run_with_mode(&spec, 2, SMALL_SAMPLED);
     let exact_cells = exact.cells().expect("grid");
     let sampled_cells = sampled.cells().expect("grid");
