@@ -13,8 +13,7 @@ use crate::decoded::DecodedProgram;
 use crate::inst::Inst;
 use crate::state::Machine;
 use mom_isa::scalar::Label;
-use mom_isa::state::ControlFlow;
-use mom_isa::trace::{BranchInfo, DynInst, InstClass, IsaKind, Trace, TraceSink};
+use mom_isa::trace::{IsaKind, Trace, TraceSink};
 
 /// Default dynamic-instruction budget for [`Program::run`]. This is a
 /// runaway-program guard, not a workload ceiling: it sits an order of
@@ -107,24 +106,13 @@ impl Program {
     /// [`DecodedProgram`] and the [`decoded`](crate::decoded) module docs).
     ///
     /// Decoding pays every per-static-instruction cost — enum flattening,
-    /// operand list resolution, branch target resolution, [`DynInst`]
-    /// skeleton assembly — exactly once, so the execution hot loop only
-    /// patches dynamic fields. [`Program::run`] and [`Program::stream`]
-    /// decode on entry; callers executing one program repeatedly can hold on
-    /// to the decoded form.
+    /// operand list resolution, branch target resolution,
+    /// [`DynInst`](mom_isa::trace::DynInst) skeleton assembly — exactly once,
+    /// so the execution hot loop only patches dynamic fields.
+    /// [`Program::run`] and [`Program::stream`] decode on entry; callers
+    /// executing one program repeatedly can hold on to the decoded form.
     pub fn decode(&self) -> DecodedProgram {
         DecodedProgram::new(self)
-    }
-
-    /// [`Program::decode`] with the superinstruction fusion pass disabled.
-    ///
-    /// Execution still routes through the threaded dispatch table, but every
-    /// µop dispatches individually. The fused and unfused engines emit
-    /// byte-identical traces (property-tested over arbitrary programs); this
-    /// entry point exists to measure fusion's contribution and to pin that
-    /// equivalence in tests.
-    pub fn decode_unfused(&self) -> DecodedProgram {
-        DecodedProgram::new_unfused(self)
     }
 
     /// Execute the program with the default instruction budget.
@@ -133,7 +121,7 @@ impl Program {
     /// memory contents) are left in `machine` for the caller to inspect.
     ///
     /// This is a thin collecting wrapper over [`Program::stream`]; callers
-    /// that do not need the materialized trace (e.g. a fused
+    /// that do not need the materialized trace (e.g. an
     /// interpreter→simulator pipeline) should stream into their own
     /// [`TraceSink`] instead, which keeps memory independent of trace length.
     ///
@@ -185,8 +173,8 @@ impl Program {
     ///
     /// Execution routes through the pre-decoded µop engine
     /// ([`Program::decode`]): the instruction list is lowered once and the
-    /// steady-state loop runs flat µops, byte-identical to the legacy
-    /// interpreter ([`Program::stream_with_fuel_legacy`]) but without its
+    /// steady-state loop runs flat µops, byte-identical to interpreting the
+    /// instruction list with [`Inst::execute`] but without its
     /// per-dynamic-instruction decode and allocation costs.
     ///
     /// # Errors
@@ -200,90 +188,6 @@ impl Program {
         fuel: usize,
     ) -> Result<usize, ExecError> {
         self.decode().stream_with_fuel(machine, sink, fuel)
-    }
-
-    /// The original walk-the-instruction-list interpreter, kept as the
-    /// executable reference semantics for the decoded engine.
-    ///
-    /// Differential tests (`tests/proptest_decoded.rs`) and the `dispatch`
-    /// criterion bench pin [`Program::stream_with_fuel`] against this: both
-    /// engines must produce byte-identical architectural state, emitted
-    /// instruction sequences and fuel accounting. It re-pays per-dynamic-
-    /// instruction decode costs (nested enum dispatch, operand-list
-    /// allocation, builder-based [`DynInst`] assembly, label lookups) and is
-    /// therefore several times slower — do not use it on a hot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::FuelExhausted`] if the budget is exceeded;
-    /// already-executed instructions have been emitted to the sink.
-    pub fn stream_with_fuel_legacy<S: TraceSink + ?Sized>(
-        &self,
-        machine: &mut Machine,
-        sink: &mut S,
-        fuel: usize,
-    ) -> Result<usize, ExecError> {
-        let mut pc = 0usize;
-        let mut executed = 0usize;
-        while pc < self.insts.len() {
-            if executed >= fuel {
-                return Err(ExecError::FuelExhausted { executed });
-            }
-            let inst = &self.insts[pc];
-            // Capture VL before execution for vector occupancy (SetVl itself
-            // is not a vector instruction, so ordering does not matter).
-            let elems = if inst.is_vector() { machine.mom.vl().max(1) as u16 } else { 1 };
-            let outcome = inst.execute(machine);
-            executed += 1;
-
-            let mut dyn_inst = DynInst::new(inst.class(), pc as u64).with_elems(elems);
-            for s in inst.srcs() {
-                dyn_inst = dyn_inst.with_src(s);
-            }
-            for d in inst.dsts() {
-                dyn_inst = dyn_inst.with_dst(d);
-            }
-            dyn_inst.mem = outcome.mem;
-
-            let next_pc = match outcome.flow {
-                ControlFlow::Fall => pc + 1,
-                ControlFlow::Branch(label) => self.target(label),
-                ControlFlow::Halt => self.insts.len(),
-            };
-
-            if dyn_inst.class == InstClass::Branch {
-                let (taken, target, conditional) = match (&outcome.flow, inst) {
-                    (ControlFlow::Branch(label), Inst::Scalar(mom_isa::scalar::ScalarOp::Jmp { .. })) => {
-                        (true, self.target(*label) as u64, false)
-                    }
-                    (ControlFlow::Branch(label), _) => (true, self.target(*label) as u64, true),
-                    (_, Inst::Scalar(mom_isa::scalar::ScalarOp::Br { target, .. })) => {
-                        (false, self.target(*target) as u64, true)
-                    }
-                    _ => (false, (pc + 1) as u64, true),
-                };
-                dyn_inst =
-                    dyn_inst.with_branch(BranchInfo { taken, conditional, pc: pc as u64, target });
-            }
-
-            sink.emit(dyn_inst);
-            pc = next_pc;
-        }
-        Ok(executed)
-    }
-
-    /// Collecting wrapper over [`Program::stream_with_fuel_legacy`] with the
-    /// default budget — the legacy equivalent of [`Program::run`], for
-    /// differential tests and benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::FuelExhausted`] if the program executes more than
-    /// [`DEFAULT_FUEL`] dynamic instructions.
-    pub fn run_legacy(&self, machine: &mut Machine) -> Result<Trace, ExecError> {
-        let mut trace = Trace::new(self.isa);
-        self.stream_with_fuel_legacy(machine, &mut trace, DEFAULT_FUEL)?;
-        Ok(trace)
     }
 }
 

@@ -1,5 +1,5 @@
 //! Differential property test: the pre-decoded µop engine is byte-identical
-//! to the legacy walk-the-instruction-list interpreter.
+//! to a walk-the-instruction-list reference interpreter.
 //!
 //! Arbitrary programs are generated for all four ISA dialects — scalar
 //! control flow (forward and backward branches, loads, stores, ALU chains)
@@ -16,15 +16,17 @@
 
 use mom_core::matrix::{v, va};
 use mom_core::ops::MomOp;
-use mom_core::program::{Program, ProgramBuilder};
+use mom_core::program::{ExecError, Program, ProgramBuilder, DEFAULT_FUEL};
 use mom_core::state::Machine;
+use mom_core::Inst;
 use mom_isa::mdmx::{AccOp, MdmxOp};
 use mom_isa::mem::MemImage;
 use mom_isa::mmx::{MmxOp, PackedBinOp, ShiftKind};
 use mom_isa::packed::{Lane, Saturation};
 use mom_isa::regs::{a, m, r};
 use mom_isa::scalar::{AluOp, Cond, ScalarOp};
-use mom_isa::trace::{DynInst, IsaKind, Trace};
+use mom_isa::state::ControlFlow;
+use mom_isa::trace::{BranchInfo, DynInst, InstClass, IsaKind, Trace, TraceSink};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,6 +47,74 @@ fn machine(seed: u64) -> Machine {
         machine.mem_mut().write_u64(MEM_BASE + i * 8, state);
     }
     machine
+}
+
+/// The reference interpreter: walk the instruction list, executing each
+/// [`Inst`] through [`Inst::execute`] and assembling its [`DynInst`] with the
+/// builder methods. It re-pays every per-dynamic-instruction decode cost the
+/// decoded engine removes, which is why it lives here and not on a hot path.
+fn stream_with_fuel_legacy<S: TraceSink + ?Sized>(
+    program: &Program,
+    machine: &mut Machine,
+    sink: &mut S,
+    fuel: usize,
+) -> Result<usize, ExecError> {
+    let insts = program.insts();
+    let mut pc = 0usize;
+    let mut executed = 0usize;
+    while pc < insts.len() {
+        if executed >= fuel {
+            return Err(ExecError::FuelExhausted { executed });
+        }
+        let inst = &insts[pc];
+        // Capture VL before execution for vector occupancy (SetVl itself
+        // is not a vector instruction, so ordering does not matter).
+        let elems = if inst.is_vector() { machine.mom.vl().max(1) as u16 } else { 1 };
+        let outcome = inst.execute(machine);
+        executed += 1;
+
+        let mut dyn_inst = DynInst::new(inst.class(), pc as u64).with_elems(elems);
+        for s in inst.srcs() {
+            dyn_inst = dyn_inst.with_src(s);
+        }
+        for d in inst.dsts() {
+            dyn_inst = dyn_inst.with_dst(d);
+        }
+        dyn_inst.mem = outcome.mem;
+
+        let next_pc = match outcome.flow {
+            ControlFlow::Fall => pc + 1,
+            ControlFlow::Branch(label) => program.target(label),
+            ControlFlow::Halt => insts.len(),
+        };
+
+        if dyn_inst.class == InstClass::Branch {
+            let (taken, target, conditional) = match (&outcome.flow, inst) {
+                (ControlFlow::Branch(label), Inst::Scalar(ScalarOp::Jmp { .. })) => {
+                    (true, program.target(*label) as u64, false)
+                }
+                (ControlFlow::Branch(label), _) => (true, program.target(*label) as u64, true),
+                (_, Inst::Scalar(ScalarOp::Br { target, .. })) => {
+                    (false, program.target(*target) as u64, true)
+                }
+                _ => (false, (pc + 1) as u64, true),
+            };
+            dyn_inst =
+                dyn_inst.with_branch(BranchInfo { taken, conditional, pc: pc as u64, target });
+        }
+
+        sink.emit(dyn_inst);
+        pc = next_pc;
+    }
+    Ok(executed)
+}
+
+/// [`stream_with_fuel_legacy`] into a collected trace with the default
+/// budget — the reference equivalent of [`Program::run`].
+fn run_legacy(program: &Program, machine: &mut Machine) -> Result<Trace, ExecError> {
+    let mut trace = Trace::new(program.isa());
+    stream_with_fuel_legacy(program, machine, &mut trace, DEFAULT_FUEL)?;
+    Ok(trace)
 }
 
 /// Emit one pseudo-random instruction for `isa` into the builder. `labels`
@@ -384,7 +454,7 @@ fn assert_equivalent(isa: IsaKind, seed: u64, body_len: usize) {
     let program = random_program(isa, seed, body_len);
 
     let mut legacy_machine = machine(seed);
-    let legacy: Result<Trace, _> = program.run_legacy(&mut legacy_machine);
+    let legacy: Result<Trace, _> = run_legacy(&program, &mut legacy_machine);
     let mut decoded_machine = machine(seed);
     let decoded = program.decode().run(&mut decoded_machine);
 
@@ -399,34 +469,6 @@ fn assert_equivalent(isa: IsaKind, seed: u64, body_len: usize) {
         (l, d) => assert_eq!(l, d, "{isa} outcome differs"),
     }
     assert_eq!(observe(&legacy_machine), observe(&decoded_machine), "{isa} state differs");
-}
-
-/// The superinstruction fusion pass must be invisible: fused and unfused
-/// decodes of the same program emit byte-identical traces and leave
-/// byte-identical machine state.
-fn assert_fusion_invisible(isa: IsaKind, seed: u64, body_len: usize) {
-    let program = random_program(isa, seed, body_len);
-
-    let mut fused_machine = machine(seed);
-    let fused = program.decode().run(&mut fused_machine);
-    let mut unfused_machine = machine(seed);
-    let unfused = program.decode_unfused().run(&mut unfused_machine);
-
-    match (&fused, &unfused) {
-        (Ok(ft), Ok(ut)) => {
-            assert_eq!(ft.len(), ut.len(), "{isa} trace lengths differ under fusion");
-            for (i, (f, u)) in ft.insts.iter().zip(&ut.insts).enumerate() {
-                assert_eq!(f, u, "{isa} dynamic instruction {i} differs under fusion");
-            }
-            assert_eq!(ft.isa, ut.isa);
-        }
-        (f, u) => assert_eq!(f, u, "{isa} outcome differs under fusion"),
-    }
-    assert_eq!(
-        observe(&fused_machine),
-        observe(&unfused_machine),
-        "{isa} state differs under fusion"
-    );
 }
 
 proptest! {
@@ -456,67 +498,30 @@ proptest! {
 
     #[test]
     fn fuel_exhaustion_is_identical(fuel in 0usize..200) {
-        // An infinite loop must exhaust fuel at exactly the same count, with
-        // exactly the same instructions already emitted by both engines.
+        // A loop of 121 dynamic instructions must exhaust fuel at exactly
+        // the same count, with exactly the same instructions already emitted
+        // by both engines — and must complete, not fail, when the budget
+        // covers it exactly (fuel == 121) or with room to spare.
         let mut b = ProgramBuilder::new(IsaKind::Alpha);
+        b.push(ScalarOp::Li { rd: r(1), imm: 40 });
         let top = b.bind_here();
-        b.push(ScalarOp::AluI { op: AluOp::Add, rd: r(1), ra: r(1), imm: 1 });
+        let done = b.new_label();
+        b.push(ScalarOp::AluI { op: AluOp::Add, rd: r(1), ra: r(1), imm: -1 });
+        b.push(ScalarOp::Br { cond: Cond::Le, ra: r(1), rb: r(31), target: done });
         b.push(ScalarOp::Jmp { target: top });
+        b.bind(done);
+        b.push(ScalarOp::Halt);
         let program = b.build().unwrap();
 
         let mut legacy_sink = Trace::new(IsaKind::Alpha);
-        let legacy = program.stream_with_fuel_legacy(&mut machine(1), &mut legacy_sink, fuel);
+        let legacy = stream_with_fuel_legacy(&program, &mut machine(1), &mut legacy_sink, fuel);
         let mut decoded_sink = Trace::new(IsaKind::Alpha);
         let decoded = program.decode().stream_with_fuel(&mut machine(1), &mut decoded_sink, fuel);
-        prop_assert_eq!(legacy, decoded);
+        prop_assert_eq!(&legacy, &decoded);
+        if fuel >= 121 {
+            prop_assert_eq!(decoded, Ok(121));
+        }
         let legacy_insts: Vec<DynInst> = legacy_sink.insts;
         prop_assert_eq!(legacy_insts, decoded_sink.insts);
-    }
-
-    #[test]
-    fn fused_equals_unfused_alpha(seed in any::<u64>(), body in 10usize..120) {
-        assert_fusion_invisible(IsaKind::Alpha, seed, body);
-    }
-
-    #[test]
-    fn fused_equals_unfused_mmx(seed in any::<u64>(), body in 10usize..100) {
-        assert_fusion_invisible(IsaKind::Mmx, seed, body);
-    }
-
-    #[test]
-    fn fused_equals_unfused_mdmx(seed in any::<u64>(), body in 10usize..100) {
-        assert_fusion_invisible(IsaKind::Mdmx, seed, body);
-    }
-
-    #[test]
-    fn fused_equals_unfused_mom(seed in any::<u64>(), body in 10usize..80) {
-        assert_fusion_invisible(IsaKind::Mom, seed, body);
-    }
-
-    #[test]
-    fn fuel_edge_inside_fused_pair_is_identical(fuel in 0usize..200) {
-        // A countdown loop whose back-edge is a fusable AluI+Br pair. At any
-        // fuel budget — including budgets that land *between* the two halves
-        // of the pair — the fused engine must report the same result and
-        // emit the same prefix as the unfused one.
-        let mut b = ProgramBuilder::new(IsaKind::Alpha);
-        b.push(ScalarOp::Li { rd: r(1), imm: 1_000_000 });
-        let top = b.bind_here();
-        b.push(ScalarOp::AluI { op: AluOp::Sub, rd: r(1), ra: r(1), imm: 1 });
-        b.push(ScalarOp::Br { cond: Cond::Gt, ra: r(1), rb: r(0), target: top });
-        b.push(ScalarOp::Halt);
-        let program = b.build().unwrap();
-        let fused = program.decode();
-        prop_assert!(fused.fused_pairs() > 0, "loop back-edge should fuse");
-
-        let mut fused_sink = Trace::new(IsaKind::Alpha);
-        let f = fused.stream_with_fuel(&mut machine(1), &mut fused_sink, fuel);
-        let mut unfused_sink = Trace::new(IsaKind::Alpha);
-        let u = program
-            .decode_unfused()
-            .stream_with_fuel(&mut machine(1), &mut unfused_sink, fuel);
-        prop_assert_eq!(f, u);
-        let fused_insts: Vec<DynInst> = fused_sink.insts;
-        prop_assert_eq!(fused_insts, unfused_sink.insts);
     }
 }

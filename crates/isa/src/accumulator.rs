@@ -149,7 +149,7 @@ impl Accumulator {
     pub fn abs_diff_add(&mut self, a: PackedWord, b: PackedWord, lane: Lane) {
         self.bind_mode(lane);
         // `|a[i] - b[i]|` always fits *unsigned* in the lane width (even for
-        // signed lanes: |MIN - MAX| = 2^bits - 1), so the packed SWAR
+        // signed lanes: |MIN - MAX| = 2^bits - 1), so the packed
         // difference can be folded in with plain zero-extending extracts.
         let d = a.abs_diff(b, lane).bits();
         match lane.bits() {
@@ -175,7 +175,7 @@ impl Accumulator {
     pub fn sqr_diff_add(&mut self, a: PackedWord, b: PackedWord, lane: Lane) {
         self.bind_mode(lane);
         // (a - b)^2 = |a - b|^2, so square the zero-extended lanes of the
-        // packed SWAR absolute difference.
+        // packed absolute difference.
         let d = a.abs_diff(b, lane).bits();
         match lane.bits() {
             8 => {

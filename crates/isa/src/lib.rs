@@ -5,7 +5,7 @@
 //! Applications"* (MICRO 1999):
 //!
 //! * [`packed`] — 64-bit packed sub-word arithmetic (the lane semantics of
-//!   MMX/MDMX/MOM computation instructions).
+//!   MMX/MDMX/MOM computation instructions), computed one lane at a time.
 //! * [`accumulator`] — MDMX-style packed wide accumulators, reused by MOM.
 //! * [`regs`] — architectural register names and register files.
 //! * [`mem`] — the byte-addressable memory image kernels execute against.
@@ -51,19 +51,8 @@ pub mod mmx;
 pub mod packed;
 pub mod regs;
 pub mod scalar;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub mod simd;
 pub mod state;
-pub mod swar;
 pub mod trace;
-
-/// Whether the `simd` cargo feature is active **and** this build targets
-/// x86_64 (the only architecture with an intrinsics backend). When false the
-/// packed kernels use the portable SWAR paths; results are identical either
-/// way.
-pub const fn simd_active() -> bool {
-    cfg!(all(feature = "simd", target_arch = "x86_64"))
-}
 
 pub use accumulator::Accumulator;
 pub use mem::MemImage;

@@ -46,7 +46,8 @@
 //! * `--resume` — resume cells from the checkpoint files in
 //!   `--checkpoint-dir` instead of starting over (the completed run is
 //!   byte-identical to an uninterrupted one; a fan-out group resumes only
-//!   when all of its members' files are present)
+//!   when all of its members' files are present). A checkpoint directory or
+//!   file that cannot be written is a stderr warning, not a failed run
 //! * `--sweep-dims SPEC` — override the `sweep` experiment's grid, e.g.
 //!   `rob=16,32:lat=1,50:way=4,8` (axes: `rob`, `lat`, `way`; omitted axes
 //!   keep their defaults)
@@ -150,7 +151,8 @@ every member machine its own detailed windows. --sample-period 0 measures
 every instruction and is byte-identical to the exact engine. With
 --checkpoint-dir, kernel cells persist a resumable checkpoint every period;
 --resume continues from those files bit-exactly (a group resumes only when
-all of its members' files are present; otherwise it starts over).
+all of its members' files are present; otherwise it starts over). A
+checkpoint that cannot be written is a stderr warning; the run completes.
 
 --sweep-dims overrides the sweep grid, e.g. rob=16,32:lat=1,50:way=4,8.
 

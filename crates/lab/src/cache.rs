@@ -15,12 +15,10 @@
 //!
 //! # Invalidation
 //!
-//! A key binds the [`engine_fingerprint`] (crate version plus the lane-kernel
-//! backend — a `--features simd` build can never serve records to a portable
-//! build or vice versa), the spec's `config_hash` (which already covers the
-//! experiment name, fast flag, workload set, machine configs, ROB/latency
-//! overrides, widths, scale and seed), the cell identity, and the sampling
-//! knobs. Exact records carry no sampling knobs at all, so a cache filled by
+//! A key binds the [`engine_fingerprint`] (the crate version), the spec's
+//! `config_hash` (which already covers the experiment name, fast flag,
+//! workload set, machine configs, ROB/latency overrides, widths, scale and
+//! seed), the cell identity, and the sampling knobs. Exact records carry no sampling knobs at all, so a cache filled by
 //! an exact run at any worker count (or by `--sampled --sample-period 0`)
 //! serves hits to every other exact run — their results are byte-identical
 //! by the determinism guarantee. Sampled records with a nonzero period key
@@ -52,14 +50,12 @@ const CACHE_MAGIC: u64 = u64::from_le_bytes(*b"MOMCELL\0");
 /// record: old files decode to a version error, which is a clean miss.
 pub const CACHE_VERSION: u32 = 1;
 
-/// The execution-engine identity baked into every [`CellKey`]: crate version
-/// plus which lane-kernel backend is active. Worker-count-invariant (exact
-/// runs at any worker count are byte-identical, so they share records), but
-/// distinct between a portable build and a `--features simd` build, and
-/// between crate versions — stale results can never be served across engine
-/// changes.
+/// The execution-engine identity baked into every [`CellKey`]: the crate
+/// version. Worker-count-invariant (exact runs at any worker count are
+/// byte-identical, so they share records), but distinct between crate
+/// versions — stale results can never be served across engine changes.
 pub fn engine_fingerprint() -> String {
-    format!("momlab {} swar simd:{}", env!("CARGO_PKG_VERSION"), mom_isa::simd_active())
+    format!("momlab {}", env!("CARGO_PKG_VERSION"))
 }
 
 /// 64-bit FNV-1a, the same construction `config_hash` uses — deterministic
@@ -547,9 +543,7 @@ mod tests {
 
     #[test]
     fn fingerprint_names_version_and_backend() {
-        let fp = engine_fingerprint();
-        assert!(fp.contains(env!("CARGO_PKG_VERSION")));
-        assert!(fp.contains(&format!("simd:{}", mom_isa::simd_active())));
+        assert_eq!(engine_fingerprint(), format!("momlab {}", env!("CARGO_PKG_VERSION")));
     }
 
     #[test]
@@ -557,7 +551,7 @@ mod tests {
         let base = key();
         let mut seen = vec![base.canonical()];
         let variants = [
-            CellKey { engine: "momlab 0.0.0 swar simd:true".into(), ..base.clone() },
+            CellKey { engine: "momlab 0.0.0".into(), ..base.clone() },
             CellKey { experiment: "sweep".into(), ..base.clone() },
             CellKey { fast: false, ..base.clone() },
             CellKey { config_hash: "fnv1a:0".into(), ..base.clone() },

@@ -316,12 +316,6 @@ pub struct RunResult {
     /// fresh across all workers (`meta.pool`; wall-clock-free but scheduling
     /// dependent, so `meta`-only).
     pub pool: PoolStats,
-    /// Fused µop pairs created by `Program::decode` during this run (the
-    /// process-wide [`mom_core::fused_pairs_total`] counter, snapshotted
-    /// around the run). Feeds `meta.engine.fused_pairs`; depends on what the
-    /// run decoded, not on timing, but lives in `meta` because a warm
-    /// machine pool can skip re-decoding.
-    pub fused_pairs: u64,
     /// Result-cache accounting when the run had a [`CellCache`]
     /// (`meta.cache`): hits, misses, fills, store size and directory. `None`
     /// when caching was disabled, so pre-cache documents stay byte-identical.
@@ -444,9 +438,10 @@ struct CkptContext {
 /// # Panics
 ///
 /// Panics when `mode` carries invalid sampling parameters (`unit_insts == 0`,
-/// or a nonzero `period` smaller than `warmup_insts + unit_insts`), when the
-/// checkpoint directory cannot be created or written, or when `resume` finds
-/// a checkpoint file that does not match this run.
+/// or a nonzero `period` smaller than `warmup_insts + unit_insts`), or when
+/// `resume` finds a checkpoint file that does not match this run. A
+/// checkpoint directory or file that cannot be written is a warning on
+/// stderr: the run finishes, with nothing (or a stale file) to resume from.
 pub fn run_with_options(
     spec: &ExperimentSpec,
     workers: usize,
@@ -534,22 +529,30 @@ pub fn run_cached(
     }
     let ckpt = match (mode, checkpoints) {
         (ExecMode::Sampled { unit_insts, warmup_insts, period }, Some(cfg)) if period > 0 => {
-            std::fs::create_dir_all(&cfg.dir).unwrap_or_else(|e| {
-                panic!("cannot create checkpoint directory {}: {e}", cfg.dir.display())
-            });
-            Some(CkptContext {
-                cfg: cfg.clone(),
-                spec_name: spec.name.clone(),
-                config_hash: spec.config_hash(),
-                unit: unit_insts,
-                warmup: warmup_insts,
-                period,
-            })
+            // Checkpoints only make a later run cheaper: without a directory
+            // this run still finishes, it just leaves nothing to resume from.
+            match std::fs::create_dir_all(&cfg.dir) {
+                Ok(()) => Some(CkptContext {
+                    cfg: cfg.clone(),
+                    spec_name: spec.name.clone(),
+                    config_hash: spec.config_hash(),
+                    unit: unit_insts,
+                    warmup: warmup_insts,
+                    period,
+                }),
+                Err(e) => {
+                    eprintln!(
+                        "warning: cannot create checkpoint directory {}: {e}; \
+                         running without checkpoints",
+                        cfg.dir.display()
+                    );
+                    None
+                }
+            }
         }
         _ => None,
     };
     let started = Instant::now();
-    let fused_before = mom_core::fused_pairs_total();
     let cache_ctx = cache.map(|store| CacheContext {
         cache: store,
         engine: engine_fingerprint(),
@@ -567,7 +570,6 @@ pub fn run_cached(
             (RunData::Grid(cells), timing, outcome)
         }
     };
-    let fused_pairs = mom_core::fused_pairs_total().saturating_sub(fused_before);
     // The `meta.cache` section: grid accounting (zeros for a cached static
     // run — tables simulate nothing) plus the store-wide size after fills.
     let (cache_meta, cached_cells) = match (cache, outcome) {
@@ -604,7 +606,6 @@ pub fn run_cached(
         functional_instructions: timing.functional_instructions,
         spans: timing.spans,
         pool: timing.pool,
-        fused_pairs,
         cache: cache_meta,
         cached_cells,
         data,
@@ -1086,8 +1087,9 @@ fn ckpt_path(ctx: &CkptContext, key: &str) -> PathBuf {
 }
 
 /// Write one cell's checkpoint atomically (tmp + rename), enveloped with the
-/// identity a resume validates against.
-fn save_cell_checkpoint(ctx: &CkptContext, key: &str, ckpt: &Checkpoint) {
+/// identity a resume validates against. On failure the temporary file is
+/// removed and any earlier checkpoint at the final path is left as it was.
+fn save_cell_checkpoint(ctx: &CkptContext, key: &str, ckpt: &Checkpoint) -> std::io::Result<()> {
     let mut e = Encoder::new();
     e.u32(LAB_CKPT_VERSION);
     e.blob(ctx.config_hash.as_bytes());
@@ -1098,9 +1100,11 @@ fn save_cell_checkpoint(ctx: &CkptContext, key: &str, ckpt: &Checkpoint) {
     e.blob(&ckpt.to_bytes());
     let path = ckpt_path(ctx, key);
     let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, e.into_bytes())
-        .and_then(|()| std::fs::rename(&tmp, &path))
-        .unwrap_or_else(|err| panic!("cannot write checkpoint {}: {err}", path.display()));
+    let written = std::fs::write(&tmp, e.into_bytes()).and_then(|()| std::fs::rename(&tmp, &path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Decode the lab checkpoint envelope written by [`save_cell_checkpoint`].
@@ -1339,7 +1343,15 @@ fn sample_kernel_group(
                     let c = build_checkpoint(
                         &arch, cursor, &machines[m], probe, &units[m], warmup_done, executed,
                     );
-                    save_cell_checkpoint(ctx, key, &c);
+                    // A failed write costs only resume progress: `--resume`
+                    // restarts a group whose files are missing or disagree
+                    // from zero.
+                    if let Err(err) = save_cell_checkpoint(ctx, key, &c) {
+                        eprintln!(
+                            "warning: cannot write checkpoint {}: {err}",
+                            ckpt_path(ctx, key).display()
+                        );
+                    }
                 }
                 last_saved = executed;
             }
@@ -1857,21 +1869,6 @@ impl RunResult {
             ("wall_ms", Value::Int(self.wall_ms as i64)),
             ("mode", Value::Str(self.mode.label().into())),
             ("generated_by", Value::Str(format!("momlab {}", env!("CARGO_PKG_VERSION")))),
-            // Which execution engine produced the numbers, so perf
-            // trajectory documents are self-describing: `swar` is true for
-            // every build of this engine (the portable chunked-u64 lane
-            // kernels are unconditional), `simd_feature` reports whether the
-            // SSE2 backend was compiled in *and* usable on this target, and
-            // `fused_pairs` counts the fused µop pairs decode created during
-            // this run (0 when a warm machine pool skipped re-decoding).
-            (
-                "engine",
-                Value::object(vec![
-                    ("swar", Value::Bool(true)),
-                    ("simd_feature", Value::Bool(mom_isa::simd_active())),
-                    ("fused_pairs", Value::Int(self.fused_pairs as i64)),
-                ]),
-            ),
             // The host the numbers were measured on, so committed BENCH
             // documents are comparable: wall-clock figures from different
             // core counts or architectures are not.
@@ -1888,7 +1885,6 @@ impl RunResult {
                     ),
                     ("arch", Value::Str(std::env::consts::ARCH.into())),
                     ("os", Value::Str(std::env::consts::OS.into())),
-                    ("simd_active", Value::Bool(mom_isa::simd_active())),
                 ]),
             ),
         ];

@@ -18,6 +18,9 @@
 //! * **Checkpoints resume exactly**: a run that persists checkpoints and a
 //!   run resumed from those files serialize byte-identically — also when
 //!   one member of a group lost its file and the group starts over.
+//! * **Checkpoint I/O failures keep the run**: a checkpoint directory or
+//!   file that cannot be written is a warning, and the run's results equal
+//!   those of a run without checkpoints.
 
 mod support;
 
@@ -186,4 +189,47 @@ fn checkpointed_and_resumed_runs_are_byte_identical() {
     assert!(lost.exists(), "the restarted group rewrote {}", lost.display());
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn unwritable_checkpoints_warn_and_keep_the_run() {
+    let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
+    let base = std::env::temp_dir().join(format!("momlab-ckpt-fail-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("create test dir");
+    let reference = run_with_mode(&spec, 2, SMALL_SAMPLED).results_json().to_pretty();
+
+    // Learn every checkpoint file name from a healthy checkpointed run.
+    let healthy = base.join("healthy");
+    let cfg = CheckpointConfig { dir: healthy.clone(), resume: false };
+    run_with_options(&spec, 2, SMALL_SAMPLED, false, Some(&cfg));
+    let names: Vec<_> = std::fs::read_dir(&healthy)
+        .expect("checkpoint dir exists")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .filter(|n| n.ends_with(".ckpt"))
+        .collect();
+    assert!(!names.is_empty(), "no checkpoint files were written to {}", healthy.display());
+
+    // A directory squatting on every `<spec>__<key>.ckpt.tmp` makes every
+    // checkpoint write fail.
+    let blocked = base.join("blocked");
+    for name in &names {
+        std::fs::create_dir_all(blocked.join(format!("{name}.tmp"))).expect("plant directory");
+    }
+    let cfg = CheckpointConfig { dir: blocked.clone(), resume: false };
+    let run = run_with_options(&spec, 2, SMALL_SAMPLED, false, Some(&cfg));
+    assert_eq!(reference, run.results_json().to_pretty(), "a failed checkpoint write changed the results");
+    for name in &names {
+        assert!(!blocked.join(name).exists(), "{name} was written through a blocked temporary file");
+    }
+
+    // A checkpoint directory that cannot be created: the run goes on
+    // without checkpoints.
+    let not_a_dir = base.join("file");
+    std::fs::write(&not_a_dir, b"not a directory").expect("write file");
+    let cfg = CheckpointConfig { dir: not_a_dir.join("ckpt"), resume: true };
+    let run = run_with_options(&spec, 2, SMALL_SAMPLED, false, Some(&cfg));
+    assert_eq!(reference, run.results_json().to_pretty(), "an uncreatable checkpoint dir changed the results");
+
+    std::fs::remove_dir_all(&base).expect("cleanup");
 }
