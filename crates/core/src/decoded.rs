@@ -34,8 +34,12 @@
 //!
 //! There is one detailed loop, [`DecodedProgram::stream_segment`], and one
 //! functional loop, [`DecodedProgram::fast_forward`]; both run from an
-//! [`ExecCursor`], and [`DecodedProgram::stream_with_fuel`] is a segment
-//! from the program's start. [`Program::stream`], [`Program::run`] and every
+//! [`ExecCursor`]. The handlers are instantiated twice: with trace output
+//! for the detailed loop, and without it — architectural work only — for
+//! fast-forward. [`DecodedProgram::stream_with_fuel`] runs a program from
+//! its start, alternating the two loops as the sink's
+//! [`TraceSink::demand`] asks (one segment for a sink that wants every
+//! instruction). [`Program::stream`], [`Program::run`] and every
 //! path layered on them (kernel and application execution in
 //! `mom-kernels`/`mom-apps`, the `SimStream` cells in `mom-lab`) route
 //! through this engine. It is **byte-identical** to executing the
@@ -55,8 +59,8 @@ use mom_isa::packed::{Lane, PackedWord, Saturation};
 use mom_isa::regs::{AccReg, IntReg, MediaReg};
 use mom_isa::scalar::{AluOp, Cond, ScalarOp};
 use mom_isa::trace::{
-    BranchInfo, DynInst, InstClass, IsaKind, MemAccess, MemKind, MemList, Trace, TraceSink,
-    MEM_INLINE,
+    BranchInfo, Demand, DynInst, InstClass, IsaKind, MemAccess, MemKind, MemList, Trace,
+    TraceSink, MEM_INLINE,
 };
 
 /// A program lowered into directly executable µops (see the
@@ -81,6 +85,9 @@ struct MicroOp {
     /// Variant handler resolved at decode time — the hot loop dispatches
     /// with one indirect call instead of matching on `exec`.
     handler: OpFn,
+    /// The same handler without trace output, for
+    /// [`DecodedProgram::fast_forward`].
+    functional: OpFn,
     /// Pre-assembled [`DynInst`]: class, pc, sources and destinations are
     /// final; `elems`, `mem` and `branch` are patched per execution.
     skeleton: DynInst,
@@ -91,7 +98,8 @@ struct MicroOp {
 /// Threaded-dispatch handler: executes one µop's architectural effects,
 /// patching the dynamic fields of the [`DynInst`] in place. `scratch` is the
 /// hot loop's recycled spill buffer for vector memory access lists; only the
-/// MOM memory handlers touch it.
+/// MOM memory handlers touch it. The functional instantiation of each handler
+/// (`TRACE = false`) touches neither.
 type OpFn = fn(&ExecOp, &mut Machine, &mut DynInst, &mut MemList) -> Flow;
 
 /// Where control flow goes after executing a µop.
@@ -313,19 +321,26 @@ fn lower_mom(op: &MomOp) -> ExecOp {
 
 /// Define one handler function per [`ExecOp`] variant plus the
 /// decode-time `dispatch_for` resolver. The first parenthesized group names
-/// the handler parameters at the *invocation* site so the bodies (which are
-/// textually the old `ExecOp::execute` match arms) can refer to them across
-/// the macro hygiene boundary. The generated `dispatch_for` match is
-/// exhaustive, so adding an `ExecOp` variant without a handler is a compile
-/// error.
+/// the handler parameters and the trace flag at the *invocation* site so the
+/// bodies (which are textually the old `ExecOp::execute` match arms) can
+/// refer to them across the macro hygiene boundary. Every handler is generic
+/// over that `const` flag: with it `false`, the trace output (memory access
+/// lists, branch outcomes) compiles away and only architectural work is
+/// left. The generated `dispatch_for` match is exhaustive, so adding an
+/// `ExecOp` variant without a handler is a compile error.
 macro_rules! handlers {
     (
-        ($st:ident, $inst:ident, $scratch:ident)
+        ($st:ident, $inst:ident, $scratch:ident, $trace:ident)
         $( $fname:ident : $Variant:ident $( { $($field:ident),* $(,)? } )? => $body:block )*
     ) => {
         $(
             #[allow(unused_variables)]
-            fn $fname(exec: &ExecOp, $st: &mut Machine, $inst: &mut DynInst, $scratch: &mut MemList) -> Flow {
+            fn $fname<const $trace: bool>(
+                exec: &ExecOp,
+                $st: &mut Machine,
+                $inst: &mut DynInst,
+                $scratch: &mut MemList,
+            ) -> Flow {
                 let ExecOp::$Variant $( { $($field),* } )? = exec else {
                     unreachable!("µop handler bound to the wrong ExecOp variant")
                 };
@@ -334,16 +349,16 @@ macro_rules! handlers {
         )*
 
         /// Resolve the threaded-dispatch handler for a µop at decode time.
-        fn dispatch_for(exec: &ExecOp) -> OpFn {
+        fn dispatch_for<const TRACE: bool>(exec: &ExecOp) -> OpFn {
             match exec {
-                $( ExecOp::$Variant { .. } => $fname, )*
+                $( ExecOp::$Variant { .. } => $fname::<TRACE>, )*
             }
         }
     };
 }
 
 handlers! {
-    (st, inst, scratch)
+    (st, inst, scratch, TRACE)
     // ---- scalar baseline ----
     op_li: Li { rd, imm } => {
         st.core.int.write(*rd, *imm);
@@ -389,23 +404,29 @@ handlers! {
             st.core.mem.read_unsigned(addr, *size as usize) as i64
         };
         st.core.int.write(*rd, v);
-        inst.mem = MemList::one(MemAccess { addr, size: *size, kind: MemKind::Load });
+        if TRACE {
+            inst.mem = MemList::one(MemAccess { addr, size: *size, kind: MemKind::Load });
+        }
         Flow::Next
     }
     op_st: St { rs, base, offset, size } => {
         let addr = (st.core.int.read(*base) + offset) as u64;
         st.core.mem.write_value(addr, *size as usize, st.core.int.read(*rs) as u64);
-        inst.mem = MemList::one(MemAccess { addr, size: *size, kind: MemKind::Store });
+        if TRACE {
+            inst.mem = MemList::one(MemAccess { addr, size: *size, kind: MemKind::Store });
+        }
         Flow::Next
     }
     op_br: Br { cond, ra, rb, target } => {
         let taken = cond.eval(st.core.int.read(*ra), st.core.int.read(*rb));
-        inst.branch = Some(BranchInfo {
-            taken,
-            conditional: true,
-            pc: inst.pc,
-            target: *target as u64,
-        });
+        if TRACE {
+            inst.branch = Some(BranchInfo {
+                taken,
+                conditional: true,
+                pc: inst.pc,
+                target: *target as u64,
+            });
+        }
         if taken {
             Flow::Jump(*target)
         } else {
@@ -413,12 +434,14 @@ handlers! {
         }
     }
     op_jmp: Jmp { target } => {
-        inst.branch = Some(BranchInfo {
-            taken: true,
-            conditional: false,
-            pc: inst.pc,
-            target: *target as u64,
-        });
+        if TRACE {
+            inst.branch = Some(BranchInfo {
+                taken: true,
+                conditional: false,
+                pc: inst.pc,
+                target: *target as u64,
+            });
+        }
         Flow::Jump(*target)
     }
     op_nop: Nop => { Flow::Next }
@@ -427,13 +450,17 @@ handlers! {
     op_media_ld: MediaLd { md, base, offset } => {
         let addr = (st.core.int.read(*base) + offset) as u64;
         st.core.media.write(*md, PackedWord::new(st.core.mem.read_u64(addr)));
-        inst.mem = MemList::one(MemAccess { addr, size: 8, kind: MemKind::Load });
+        if TRACE {
+            inst.mem = MemList::one(MemAccess { addr, size: 8, kind: MemKind::Load });
+        }
         Flow::Next
     }
     op_media_st: MediaSt { ms, base, offset } => {
         let addr = (st.core.int.read(*base) + offset) as u64;
         st.core.mem.write_u64(addr, st.core.media.read(*ms).bits());
-        inst.mem = MemList::one(MemAccess { addr, size: 8, kind: MemKind::Store });
+        if TRACE {
+            inst.mem = MemList::one(MemAccess { addr, size: 8, kind: MemKind::Store });
+        }
         Flow::Next
     }
     op_splat: Splat { md, rs, lane } => {
@@ -546,19 +573,17 @@ handlers! {
         let base_addr = st.core.int.read(*base) as u64;
         let stride = st.core.int.read(*stride);
         let value = st.mom.matrix.get_mut(*vd);
-        // Recycle the loop's spill buffer: steady-state vector loads reuse
-        // one heap allocation instead of paying one per instruction.
-        let mut accesses = std::mem::take(scratch);
-        accesses.clear();
-        if !accesses.is_spilled() && vl > MEM_INLINE {
-            accesses = MemList::with_capacity(vl);
-        }
+        let mut accesses = if TRACE { recycled_list(scratch, vl) } else { MemList::new() };
         for k in 0..vl {
             let addr = (base_addr as i64 + k as i64 * stride) as u64;
             value.set_row(k, PackedWord::new(st.core.mem.read_u64(addr)));
-            accesses.push(MemAccess { addr, size: 8, kind: MemKind::Load });
+            if TRACE {
+                accesses.push(MemAccess { addr, size: 8, kind: MemKind::Load });
+            }
         }
-        inst.mem = accesses;
+        if TRACE {
+            inst.mem = accesses;
+        }
         Flow::Next
     }
     op_mom_st: MomSt { vs, base, stride } => {
@@ -566,17 +591,17 @@ handlers! {
         let base_addr = st.core.int.read(*base) as u64;
         let stride = st.core.int.read(*stride);
         let value = st.mom.matrix.get(*vs);
-        let mut accesses = std::mem::take(scratch);
-        accesses.clear();
-        if !accesses.is_spilled() && vl > MEM_INLINE {
-            accesses = MemList::with_capacity(vl);
-        }
+        let mut accesses = if TRACE { recycled_list(scratch, vl) } else { MemList::new() };
         for k in 0..vl {
             let addr = (base_addr as i64 + k as i64 * stride) as u64;
             st.core.mem.write_u64(addr, value.row(k).bits());
-            accesses.push(MemAccess { addr, size: 8, kind: MemKind::Store });
+            if TRACE {
+                accesses.push(MemAccess { addr, size: 8, kind: MemKind::Store });
+            }
         }
-        inst.mem = accesses;
+        if TRACE {
+            inst.mem = accesses;
+        }
         Flow::Next
     }
     op_mom_packed: MomPacked { op, vd, va, vb, lane, sat } => {
@@ -773,8 +798,9 @@ impl DecodedProgram {
                     skeleton = skeleton.with_dst(d);
                 }
                 let exec = lower(inst, program);
-                let handler = dispatch_for(&exec);
-                MicroOp { exec, handler, skeleton, is_vector: inst.is_vector() }
+                let handler = dispatch_for::<true>(&exec);
+                let functional = dispatch_for::<false>(&exec);
+                MicroOp { exec, handler, functional, skeleton, is_vector: inst.is_vector() }
             })
             .collect();
         Self { ops, isa: program.isa() }
@@ -826,22 +852,44 @@ impl DecodedProgram {
     }
 
     /// [`DecodedProgram::stream`] with an explicit dynamic-instruction
-    /// budget: one [`stream_segment`](Self::stream_segment) from
-    /// [`ExecCursor::start`], which fails when the budget ran out before the
-    /// program halted.
+    /// budget, which fails when the budget ran out before the program
+    /// halted.
+    ///
+    /// The run from [`ExecCursor::start`] follows the sink's
+    /// [`TraceSink::demand`]: a [`Demand::Detail`] window runs through
+    /// [`stream_segment`](Self::stream_segment), a [`Demand::Skip`] window
+    /// through [`fast_forward`](Self::fast_forward) and is reported with
+    /// [`TraceSink::skip`]. A sink that keeps the default demand gets one
+    /// segment over the whole program.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::FuelExhausted`] if the budget is exceeded;
-    /// already-executed instructions have been emitted to the sink.
+    /// already-executed instructions have been emitted to (or skipped by)
+    /// the sink.
     pub fn stream_with_fuel<S: TraceSink + ?Sized>(
         &self,
         machine: &mut Machine,
         sink: &mut S,
         fuel: usize,
     ) -> Result<usize, ExecError> {
+        let fuel = fuel as u64;
         let mut cursor = ExecCursor::start();
-        let executed = self.stream_segment(machine, sink, &mut cursor, fuel as u64) as usize;
+        let mut executed = 0u64;
+        while executed < fuel && !cursor.is_done(self) {
+            let budget = fuel - executed;
+            executed += match sink.demand() {
+                Demand::Detail(n) => {
+                    self.stream_segment(machine, sink, &mut cursor, n.clamp(1, budget))
+                }
+                Demand::Skip(n) => {
+                    let skipped = self.fast_forward(machine, &mut cursor, n.clamp(1, budget));
+                    sink.skip(skipped);
+                    skipped
+                }
+            };
+        }
+        let executed = executed as usize;
         if cursor.is_done(self) {
             Ok(executed)
         } else {
@@ -853,8 +901,9 @@ impl DecodedProgram {
     /// applying architectural effects only — no trace emission, no timing.
     /// This is the fast-forward driver of the sampled execution mode: it
     /// advances the architectural [`Machine`] between sampling units at a
-    /// fraction of the detailed cost by skipping [`DynInst`] assembly and
-    /// sink handoff entirely.
+    /// fraction of the detailed cost. It runs each µop's functional handler
+    /// instantiation, which builds no [`DynInst`], memory access list or
+    /// branch outcome, and hands nothing to a sink.
     ///
     /// Both loops step one µop per dispatch, so interleaving fast-forward
     /// and [`stream_segment`](Self::stream_segment) windows partitions the
@@ -872,17 +921,13 @@ impl DecodedProgram {
     ) -> u64 {
         let mut pc = cursor.pc;
         let mut executed = 0u64;
-        let mut scratch = MemList::new();
-        // Handlers only *write* the dynamic trace fields (`mem`, `branch`)
-        // and read `pc` solely to stamp the discarded `BranchInfo`, so one
-        // recycled slot absorbs their output without any per-instruction
-        // skeleton refresh.
+        // The functional handlers never touch their trace arguments.
         let mut slot = DynInst::new(InstClass::Nop, 0);
+        let mut scratch = MemList::new();
         while pc < self.ops.len() && executed < max {
             let op = &self.ops[pc];
-            reclaim(&mut slot, &mut scratch);
             executed += 1;
-            let flow = (op.handler)(&op.exec, machine, &mut slot, &mut scratch);
+            let flow = (op.functional)(&op.exec, machine, &mut slot, &mut scratch);
             pc = match flow {
                 Flow::Next => pc + 1,
                 Flow::Jump(target) => target as usize,
@@ -1004,17 +1049,17 @@ impl ExecCursor {
     }
 }
 
-/// Fast-forward counterpart of [`refresh`]: clear a recycled slot's memory
-/// list (migrating a spilled heap buffer into `scratch` for the next vector
-/// memory handler to take) without touching the static fields nobody reads.
+/// An empty access list for a vector memory µop of `vl` rows, taken from
+/// the loop's recycled spill buffer: steady-state vector loads and stores
+/// reuse one heap allocation instead of paying one per instruction.
 #[inline(always)]
-fn reclaim(dst: &mut DynInst, scratch: &mut MemList) {
-    if dst.mem.is_spilled() && !scratch.is_spilled() {
-        dst.mem.clear();
-        *scratch = std::mem::take(&mut dst.mem);
-    } else {
-        dst.mem.clear();
+fn recycled_list(scratch: &mut MemList, vl: usize) -> MemList {
+    let mut accesses = std::mem::take(scratch);
+    accesses.clear();
+    if !accesses.is_spilled() && vl > MEM_INLINE {
+        accesses = MemList::with_capacity(vl);
     }
+    accesses
 }
 
 /// Graduation-chunk size: instructions accumulate in this many persistent

@@ -13,12 +13,20 @@
 //!   registers, accumulators, memory),
 //! * the fuel accounting, including the exact `FuelExhausted` error on
 //!   non-terminating programs.
+//!
+//! The same reference checks the two ways a run can leave detail:
+//! arbitrary interleavings of `fast_forward` and `stream_segment` windows,
+//! and a sink whose [`TraceSink::demand`] follows an arbitrary
+//! `Detail`/`Skip` schedule through `stream_with_fuel`. Skipped
+//! instructions must change the architectural state exactly as emitted
+//! ones do, and every emitted instruction must be the reference's
+//! instruction at the same dynamic index.
 
 use mom_core::matrix::{v, va};
 use mom_core::ops::MomOp;
 use mom_core::program::{ExecError, Program, ProgramBuilder, DEFAULT_FUEL};
 use mom_core::state::Machine;
-use mom_core::Inst;
+use mom_core::{ExecCursor, Inst};
 use mom_isa::mdmx::{AccOp, MdmxOp};
 use mom_isa::mem::MemImage;
 use mom_isa::mmx::{MmxOp, PackedBinOp, ShiftKind};
@@ -26,7 +34,7 @@ use mom_isa::packed::{Lane, Saturation};
 use mom_isa::regs::{a, m, r};
 use mom_isa::scalar::{AluOp, Cond, ScalarOp};
 use mom_isa::state::ControlFlow;
-use mom_isa::trace::{BranchInfo, DynInst, InstClass, IsaKind, Trace, TraceSink};
+use mom_isa::trace::{BranchInfo, Demand, DynInst, InstClass, IsaKind, Trace, TraceSink};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -471,6 +479,137 @@ fn assert_equivalent(isa: IsaKind, seed: u64, body_len: usize) {
     assert_eq!(observe(&legacy_machine), observe(&decoded_machine), "{isa} state differs");
 }
 
+/// Drive the decoded engine through random windows, each either a
+/// `fast_forward` or a `stream_segment` of a random length, and compare
+/// with the reference run of the whole program.
+fn assert_interleaving_equivalent(isa: IsaKind, seed: u64, body_len: usize, schedule: u64) {
+    let program = random_program(isa, seed, body_len);
+    let mut legacy_machine = machine(seed);
+    let Ok(reference) = run_legacy(&program, &mut legacy_machine) else {
+        return; // Non-terminating programs are covered by the fuel tests.
+    };
+    let decoded = program.decode();
+    let mut decoded_machine = machine(seed);
+    let mut cursor = ExecCursor::start();
+    let mut rng = StdRng::seed_from_u64(schedule);
+    let mut executed = 0u64;
+    while !cursor.is_done(&decoded) {
+        let max = rng.gen::<u64>() % 40;
+        if rng.gen::<bool>() {
+            executed += decoded.fast_forward(&mut decoded_machine, &mut cursor, max);
+        } else {
+            let mut window: Vec<DynInst> = Vec::new();
+            let n = decoded.stream_segment(&mut decoded_machine, &mut window, &mut cursor, max);
+            assert_eq!(n, window.len() as u64, "{isa}: a segment emits what it executes");
+            for (k, inst) in window.iter().enumerate() {
+                let index = executed as usize + k;
+                assert_eq!(inst, &reference.insts[index], "{isa}: dynamic instruction {index} differs");
+            }
+            executed += n;
+        }
+    }
+    assert_eq!(executed, reference.len() as u64, "{isa}: executed counts differ");
+    assert_eq!(observe(&legacy_machine), observe(&decoded_machine), "{isa}: state differs");
+}
+
+/// A sink that answers [`TraceSink::demand`] from a fixed cyclic schedule
+/// of windows and records every emitted instruction with its dynamic index.
+struct Scheduled {
+    windows: Vec<Demand>,
+    /// Current window and how much of it has been consumed.
+    window: usize,
+    used: u64,
+    /// Dynamic index of the next instruction.
+    pos: u64,
+    emitted: Vec<(u64, DynInst)>,
+}
+
+impl Scheduled {
+    fn len_of(d: Demand) -> u64 {
+        match d {
+            Demand::Detail(n) | Demand::Skip(n) => n,
+        }
+    }
+
+    fn advance(&mut self, n: u64) {
+        self.pos += n;
+        self.used += n;
+        while self.used >= Self::len_of(self.windows[self.window]) {
+            self.used -= Self::len_of(self.windows[self.window]);
+            self.window = (self.window + 1) % self.windows.len();
+        }
+    }
+}
+
+impl TraceSink for Scheduled {
+    fn emit(&mut self, inst: DynInst) {
+        assert!(
+            matches!(self.demand(), Demand::Detail(_)),
+            "instruction {} emitted inside a skip window",
+            self.pos
+        );
+        self.emitted.push((self.pos, inst));
+        self.advance(1);
+    }
+
+    fn demand(&self) -> Demand {
+        let left = Self::len_of(self.windows[self.window]) - self.used;
+        match self.windows[self.window] {
+            Demand::Detail(_) => Demand::Detail(left),
+            Demand::Skip(_) => Demand::Skip(left),
+        }
+    }
+
+    fn skip(&mut self, n: u64) {
+        match self.demand() {
+            Demand::Skip(left) => assert!(n <= left, "skipped {n}, allowed {left}"),
+            Demand::Detail(_) => panic!("skip called inside a detail window"),
+        }
+        self.advance(n);
+    }
+}
+
+/// Run `program` through `stream_with_fuel` into a [`Scheduled`] sink at a
+/// fuel below, at and above the program's length, and compare each outcome
+/// with the reference at the same fuel.
+fn assert_schedule_equivalent(isa: IsaKind, seed: u64, body_len: usize, schedule: u64) {
+    let program = random_program(isa, seed, body_len);
+    let Ok(full) = run_legacy(&program, &mut machine(seed)) else {
+        return;
+    };
+    let mut rng = StdRng::seed_from_u64(schedule);
+    let windows: Vec<Demand> = (0..1 + rng.gen::<usize>() % 6)
+        .map(|_| {
+            let n = 1 + rng.gen::<u64>() % 30;
+            if rng.gen::<bool>() {
+                Demand::Detail(n)
+            } else {
+                Demand::Skip(n)
+            }
+        })
+        .collect();
+    let len = full.len();
+    let decoded = program.decode();
+    for fuel in [rng.gen::<usize>() % len.max(1), len, len + 1 + rng.gen::<usize>() % 50] {
+        let mut legacy_machine = machine(seed);
+        let mut reference = Trace::new(isa);
+        let legacy = stream_with_fuel_legacy(&program, &mut legacy_machine, &mut reference, fuel);
+
+        let mut decoded_machine = machine(seed);
+        let mut sink = Scheduled { windows: windows.clone(), window: 0, used: 0, pos: 0, emitted: Vec::new() };
+        let outcome = decoded.stream_with_fuel(&mut decoded_machine, &mut sink, fuel);
+        assert_eq!(legacy, outcome, "{isa} at fuel {fuel}: outcome differs");
+        let executed = match outcome {
+            Ok(n) | Err(ExecError::FuelExhausted { executed: n }) => n,
+        };
+        assert_eq!(sink.pos, executed as u64, "{isa} at fuel {fuel}: sink saw a different count");
+        for (index, inst) in &sink.emitted {
+            assert_eq!(inst, &reference.insts[*index as usize], "{isa} at fuel {fuel}: instruction {index} differs");
+        }
+        assert_eq!(observe(&legacy_machine), observe(&decoded_machine), "{isa} at fuel {fuel}: state differs");
+    }
+}
+
 proptest! {
     // Each case generates, decodes and doubly executes a whole program; the
     // case count is kept CI-friendly. `PROPTEST_CASES` overrides it.
@@ -523,5 +662,27 @@ proptest! {
         }
         let legacy_insts: Vec<DynInst> = legacy_sink.insts;
         prop_assert_eq!(legacy_insts, decoded_sink.insts);
+    }
+
+    #[test]
+    fn interleaved_fast_forward_equals_legacy(
+        seed in any::<u64>(),
+        body in 10usize..80,
+        schedule in any::<u64>(),
+    ) {
+        for isa in IsaKind::ALL {
+            assert_interleaving_equivalent(isa, seed, body, schedule);
+        }
+    }
+
+    #[test]
+    fn demand_schedules_equal_legacy(
+        seed in any::<u64>(),
+        body in 10usize..80,
+        schedule in any::<u64>(),
+    ) {
+        for isa in IsaKind::ALL {
+            assert_schedule_equivalent(isa, seed, body, schedule);
+        }
     }
 }

@@ -498,6 +498,13 @@ impl DynInst {
 /// retires each instruction immediately with O(ROB-size) memory, so the
 /// interpreter and the simulator fuse into a pipeline that never
 /// materializes the trace.
+///
+/// A sink receives the complete stream in order, with one exception it asks
+/// for itself: through [`TraceSink::demand`] a sink may announce that it
+/// does not need the next instructions, and the producer may then execute
+/// them functionally only and report them with [`TraceSink::skip`] instead
+/// of emitting them. The sampled execution mode is built on that exception;
+/// every other sink keeps the default demand and sees every instruction.
 pub trait TraceSink {
     /// Accept the next graduated instruction, in program order.
     fn emit(&mut self, inst: DynInst);
@@ -523,12 +530,44 @@ pub trait TraceSink {
     /// to retire a whole chunk in one call frame (keeping its hot scalars in
     /// registers across instructions instead of round-tripping them through
     /// memory on every handoff). Overrides must behave exactly like the
-    /// default: same instructions, same order, no skipping.
+    /// default: same instructions, same order, no skipping (skipping is
+    /// only ever requested through [`TraceSink::demand`]).
     fn emit_batch(&mut self, insts: &[DynInst]) {
         for inst in insts {
             self.emit_ref(inst);
         }
     }
+
+    /// What the sink needs of the next instructions. The producer polls
+    /// this between windows: [`Demand::Detail`] asks for the next `n`
+    /// instructions to be emitted, [`Demand::Skip`] allows the next `n` to
+    /// be executed without assembling or emitting them. A count of zero is
+    /// read as one. A producer may always emit more than a sink asked for
+    /// (it must then accept them); it must never skip more than allowed.
+    ///
+    /// The default asks for every instruction, forever, so a sink that does
+    /// not override this sees the complete stream.
+    fn demand(&self) -> Demand {
+        Demand::Detail(u64::MAX)
+    }
+
+    /// `n` instructions executed without being emitted, in place of `n`
+    /// calls to [`TraceSink::emit_ref`]. Only called after
+    /// [`TraceSink::demand`] answered `Skip(m)` with `n <= m`. The default
+    /// ignores the count.
+    fn skip(&mut self, n: u64) {
+        let _ = n;
+    }
+}
+
+/// A sink's answer to [`TraceSink::demand`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Demand {
+    /// Emit the next `n` instructions in full detail.
+    Detail(u64),
+    /// The next `n` instructions may be executed functionally only and
+    /// reported through [`TraceSink::skip`].
+    Skip(u64),
 }
 
 impl TraceSink for Trace {
@@ -554,6 +593,14 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
 
     fn emit_batch(&mut self, insts: &[DynInst]) {
         (**self).emit_batch(insts);
+    }
+
+    fn demand(&self) -> Demand {
+        (**self).demand()
+    }
+
+    fn skip(&mut self, n: u64) {
+        (**self).skip(n);
     }
 }
 
@@ -629,72 +676,36 @@ impl<S: TraceSink> TraceSink for Broadcast<S> {
             sink.emit_batch(insts);
         }
     }
-}
 
-/// A sink that duplicates every instruction into two (possibly heterogeneous)
-/// sinks — e.g. a collecting [`Trace`] next to a streaming simulator.
-#[derive(Debug)]
-pub struct Tee<A, B>(
-    /// First child (receives a clone).
-    pub A,
-    /// Second child (receives the original).
-    pub B,
-);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
-    fn emit(&mut self, inst: DynInst) {
-        self.0.emit(inst.clone());
-        self.1.emit(inst);
-    }
-
-    fn emit_ref(&mut self, inst: &DynInst) {
-        self.0.emit_ref(inst);
-        self.1.emit_ref(inst);
-    }
-
-    fn emit_batch(&mut self, insts: &[DynInst]) {
-        self.0.emit_batch(insts);
-        self.1.emit_batch(insts);
-    }
-}
-
-/// A sink adapter that forwards only the instructions matching a predicate
-/// (e.g. memory operations only, or one instruction class for a counting
-/// probe). Instructions failing the predicate are dropped without cloning.
-pub struct FilterSink<S, F> {
-    sink: S,
-    keep: F,
-}
-
-impl<S, F: FnMut(&DynInst) -> bool> FilterSink<S, F> {
-    /// Forward to `sink` only the instructions for which `keep` is true.
-    pub fn new(sink: S, keep: F) -> Self {
-        Self { sink, keep }
-    }
-
-    /// Take the inner sink back.
-    pub fn into_inner(self) -> S {
-        self.sink
-    }
-}
-
-impl<S: TraceSink, F: FnMut(&DynInst) -> bool> TraceSink for FilterSink<S, F> {
-    fn emit(&mut self, inst: DynInst) {
-        if (self.keep)(&inst) {
-            self.sink.emit(inst);
+    /// `Skip` only when every child skips, for as long as the shortest skip
+    /// lasts; otherwise `Detail` until the first child that wants detail
+    /// could change its answer. A child that skips while another wants
+    /// detail simply receives the instructions it would have skipped. An
+    /// empty fan-out drops every instruction, so it skips everything.
+    fn demand(&self) -> Demand {
+        let mut detail = u64::MAX;
+        let mut skip = u64::MAX;
+        let mut wants_detail = false;
+        for sink in &self.sinks {
+            match sink.demand() {
+                Demand::Detail(n) => {
+                    wants_detail = true;
+                    detail = detail.min(n);
+                }
+                Demand::Skip(n) => skip = skip.min(n),
+            }
+        }
+        if wants_detail {
+            Demand::Detail(detail)
+        } else {
+            Demand::Skip(skip)
         }
     }
 
-    fn emit_ref(&mut self, inst: &DynInst) {
-        if (self.keep)(inst) {
-            self.sink.emit_ref(inst);
+    fn skip(&mut self, n: u64) {
+        for sink in &mut self.sinks {
+            sink.skip(n);
         }
-    }
-}
-
-impl<S: std::fmt::Debug, F> std::fmt::Debug for FilterSink<S, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilterSink").field("sink", &self.sink).finish_non_exhaustive()
     }
 }
 
@@ -976,26 +987,77 @@ mod tests {
         assert!(empty.into_inner().is_empty());
     }
 
-    #[test]
-    fn tee_duplicates_into_both_sinks() {
-        let mut tee = Tee(Trace::new(IsaKind::Mom), Vec::new());
-        for pc in 0..4 {
-            tee.emit(DynInst::new(InstClass::MediaSimple, pc).with_elems(8));
+    /// A sink with a fixed demand that tallies what it receives.
+    #[derive(Debug)]
+    struct Fixed {
+        demand: Demand,
+        emitted: u64,
+        skipped: u64,
+    }
+
+    impl Fixed {
+        fn new(demand: Demand) -> Self {
+            Self { demand, emitted: 0, skipped: 0 }
         }
-        assert_eq!(tee.0.len(), 4);
-        assert_eq!(tee.0.insts, tee.1);
+    }
+
+    impl TraceSink for Fixed {
+        fn emit(&mut self, _inst: DynInst) {
+            self.emitted += 1;
+        }
+
+        fn demand(&self) -> Demand {
+            self.demand
+        }
+
+        fn skip(&mut self, n: u64) {
+            self.skipped += n;
+        }
     }
 
     #[test]
-    fn filter_sink_forwards_matching_instructions_only() {
-        let mut mem_only = FilterSink::new(Trace::new(IsaKind::Alpha), |i: &DynInst| i.class.is_mem());
-        mem_only.emit(DynInst::new(InstClass::IntSimple, 0));
-        mem_only.emit(DynInst::new(InstClass::Load, 1).with_mem(MemList::one(access(0x8))));
-        mem_only.emit(DynInst::new(InstClass::Branch, 2));
-        mem_only.emit(DynInst::new(InstClass::Store, 3).with_mem(MemList::one(access(0x10))));
-        let kept = mem_only.into_inner();
-        assert_eq!(kept.len(), 2);
-        assert!(kept.insts.iter().all(|i| i.class.is_mem()));
+    fn default_demand_asks_for_every_instruction() {
+        assert_eq!(Trace::new(IsaKind::Alpha).demand(), Demand::Detail(u64::MAX));
+        let mut v: Vec<DynInst> = Vec::new();
+        v.skip(3);
+        assert!(v.is_empty(), "the default skip ignores the count");
+        // `&mut S` forwards both methods.
+        fn demand_then_skip(mut sink: impl TraceSink) -> Demand {
+            let demand = sink.demand();
+            sink.skip(4);
+            demand
+        }
+        let mut sink = Fixed::new(Demand::Skip(5));
+        assert_eq!(demand_then_skip(&mut sink), Demand::Skip(5));
+        assert_eq!(sink.skipped, 4);
+    }
+
+    #[test]
+    fn broadcast_skips_only_when_every_child_skips() {
+        let fan = Broadcast::new(vec![Fixed::new(Demand::Skip(9)), Fixed::new(Demand::Skip(4))]);
+        assert_eq!(fan.demand(), Demand::Skip(4), "all skip: the shortest skip");
+        let mut fan = fan;
+        fan.skip(4);
+        assert!(fan.sinks().iter().all(|s| s.skipped == 4 && s.emitted == 0));
+    }
+
+    #[test]
+    fn broadcast_mixed_demand_asks_for_the_shortest_detail() {
+        let mut fan = Broadcast::new(vec![
+            Fixed::new(Demand::Skip(2)),
+            Fixed::new(Demand::Detail(30)),
+            Fixed::new(Demand::Detail(7)),
+        ]);
+        assert_eq!(fan.demand(), Demand::Detail(7), "skipping children do not shorten detail");
+        // In detail every child, the skipping one included, gets the stream.
+        fan.emit_ref(&DynInst::new(InstClass::Nop, 0));
+        assert!(fan.sinks().iter().all(|s| s.emitted == 1 && s.skipped == 0));
+    }
+
+    #[test]
+    fn empty_broadcast_skips_everything() {
+        let fan: Broadcast<Fixed> = Broadcast::new(Vec::new());
+        assert_eq!(fan.demand(), Demand::Skip(u64::MAX));
     }
 
     fn access(addr: u64) -> MemAccess {

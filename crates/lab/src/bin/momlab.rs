@@ -47,7 +47,8 @@
 //!   `--checkpoint-dir` instead of starting over (the completed run is
 //!   byte-identical to an uninterrupted one; a fan-out group resumes only
 //!   when all of its members' files are present). A checkpoint directory or
-//!   file that cannot be written is a stderr warning, not a failed run
+//!   file that cannot be written is a stderr warning, not a failed run, and
+//!   so is a file that cannot be resumed from: its group starts over
 //! * `--sweep-dims SPEC` — override the `sweep` experiment's grid, e.g.
 //!   `rob=16,32:lat=1,50:way=4,8` (axes: `rob`, `lat`, `way`; omitted axes
 //!   keep their defaults)
@@ -152,7 +153,8 @@ every instruction and is byte-identical to the exact engine. With
 --checkpoint-dir, kernel cells persist a resumable checkpoint every period;
 --resume continues from those files bit-exactly (a group resumes only when
 all of its members' files are present; otherwise it starts over). A
-checkpoint that cannot be written is a stderr warning; the run completes.
+checkpoint that cannot be written, or read back under --resume, is a stderr
+warning (the group starts over); the run completes.
 
 --sweep-dims overrides the sweep grid, e.g. rob=16,32:lat=1,50:way=4,8.
 

@@ -69,7 +69,7 @@ use mom_cpu::{
     SimResult, SimStream, StallBreakdown,
 };
 use mom_isa::codec::{CodecError, Decoder, Encoder};
-use mom_isa::trace::{Broadcast, DynInst, IsaKind, TraceSink};
+use mom_isa::trace::{Broadcast, Demand, DynInst, IsaKind, TraceSink};
 use mom_kernels::{build_kernel, BuiltKernel, KernelKind, KernelParams};
 use mom_mem::cache::CacheStats;
 use mom_mem::{MemModelKind, MemSystemStats};
@@ -414,8 +414,9 @@ pub struct CheckpointConfig {
     /// Directory the checkpoint files live in (created if missing).
     pub dir: PathBuf,
     /// Resume groups from existing checkpoint files instead of starting over.
-    /// A checkpoint file that does not match the spec, cell or sampling
-    /// parameters fails loudly rather than silently corrupting the run.
+    /// A checkpoint file that cannot be read or restored, or that does not
+    /// match the spec, cell or sampling parameters, is a stderr warning and
+    /// its group starts over — never a resume into the wrong state.
     pub resume: bool,
 }
 
@@ -438,10 +439,12 @@ struct CkptContext {
 /// # Panics
 ///
 /// Panics when `mode` carries invalid sampling parameters (`unit_insts == 0`,
-/// or a nonzero `period` smaller than `warmup_insts + unit_insts`), or when
-/// `resume` finds a checkpoint file that does not match this run. A
+/// or a nonzero `period` smaller than `warmup_insts + unit_insts`). A
 /// checkpoint directory or file that cannot be written is a warning on
 /// stderr: the run finishes, with nothing (or a stale file) to resume from.
+/// A checkpoint file that cannot be resumed from (unreadable, truncated,
+/// undecodable, written by a different run) is a warning too, and its
+/// group starts from zero.
 pub fn run_with_options(
     spec: &ExperimentSpec,
     workers: usize,
@@ -1124,37 +1127,81 @@ fn decode_lab_ckpt(bytes: &[u8]) -> Result<(String, String, u64, u64, u64, Check
     Ok((hash, key, unit, warmup, period, ckpt))
 }
 
-/// Load one cell's checkpoint if its file exists. A missing file means
-/// "start fresh" (for the cell's whole group); a file that fails to decode,
-/// or matches a different spec, cell or sampling parameters, panics with the
-/// path — silently restarting (or worse, resuming into the wrong run) would
-/// corrupt the results.
-fn load_cell_checkpoint(ctx: &CkptContext, key: &str) -> Option<Checkpoint> {
+/// Load one cell's checkpoint if its file exists. A missing file is
+/// `Ok(None)`: "start fresh" (for the cell's whole group). A file that
+/// cannot be read or decoded, or that matches a different spec, cell or
+/// sampling parameters, is an `Err` naming the path — resuming into the
+/// wrong run would corrupt the results.
+fn load_cell_checkpoint(ctx: &CkptContext, key: &str) -> Result<Option<Checkpoint>, String> {
     let path = ckpt_path(ctx, key);
     let bytes = match std::fs::read(&path) {
         Ok(bytes) => bytes,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return None,
-        Err(err) => panic!("cannot read checkpoint {}: {err}", path.display()),
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(err) => return Err(format!("cannot read checkpoint {}: {err}", path.display())),
     };
-    let (hash, file_key, unit, warmup, period, ckpt) =
-        decode_lab_ckpt(&bytes).unwrap_or_else(|e| {
-            panic!(
-                "checkpoint {} is not a valid checkpoint file ({e}); \
-                 delete the file or rerun without --resume",
-                path.display()
-            )
-        });
+    let (hash, file_key, unit, warmup, period, ckpt) = decode_lab_ckpt(&bytes).map_err(|e| {
+        format!("checkpoint {} is not a valid checkpoint file ({e})", path.display())
+    })?;
     if hash != ctx.config_hash
         || file_key != key
         || (unit, warmup, period) != (ctx.unit, ctx.warmup, ctx.period)
     {
-        panic!(
+        return Err(format!(
             "checkpoint {} does not match this run (spec configuration, cell or \
-             sampling parameters changed); delete the file or rerun without --resume",
+             sampling parameters changed)",
             path.display()
-        );
+        ));
     }
-    Some(ckpt)
+    Ok(Some(ckpt))
+}
+
+/// Where a kernel group resumes: the shared cursor and tallies, plus every
+/// member's probe and closed units.
+struct Resumed {
+    cursor: ExecCursor,
+    probes: Vec<AttributionProbe>,
+    units: Vec<Vec<UnitDelta>>,
+    warmup_done: u64,
+    executed: u64,
+}
+
+/// Restore a kernel group from its members' checkpoint files into `arch`
+/// and `machines`. `Ok(None)` when a file is missing or the files disagree
+/// on the instruction index: the group starts from zero. `Err` names a file
+/// that cannot be read, decoded, matched to this run or restored; `arch` and
+/// `machines` may then hold part of its state.
+fn resume_kernel_group(
+    ctx: &CkptContext,
+    keys: &[String],
+    arch: &mut Machine,
+    machines: &mut [SimMachine],
+) -> Result<Option<Resumed>, String> {
+    let mut saved = Vec::new();
+    for key in keys {
+        match load_cell_checkpoint(ctx, key)? {
+            Some(c) => saved.push(c),
+            None => return Ok(None),
+        }
+    }
+    if saved.iter().any(|c| c.inst_index != saved[0].inst_index) {
+        return Ok(None);
+    }
+    let mut resumed = Resumed {
+        cursor: ExecCursor::start(),
+        probes: Vec::new(),
+        units: Vec::new(),
+        warmup_done: 0,
+        executed: saved[0].inst_index,
+    };
+    for ((c, key), machine) in saved.iter().zip(keys).zip(machines) {
+        let (cursor, probe, warmup_done, units) = restore_kernel_cell(c, arch, machine)
+            .map_err(|e| format!("checkpoint {} failed to restore: {e}", ckpt_path(ctx, key).display()))?;
+        resumed.cursor = cursor;
+        resumed.warmup_done = warmup_done;
+        resumed.probes.push(probe);
+        resumed.units.push(units);
+    }
+    Ok(Some(resumed))
 }
 
 /// Assemble the [`Checkpoint`] of one kernel cell at a period boundary:
@@ -1251,7 +1298,10 @@ fn restore_kernel_cell(
 /// With a [`CkptContext`] every member's checkpoint file is written at the
 /// same instruction index. A resume restores the group only when every
 /// member's file loads and all agree on that index; otherwise the group
-/// starts from zero. Returns the lane's member results plus the number of
+/// starts from zero. A file that is present but unusable (unreadable,
+/// truncated, undecodable, from another run, or failing to restore) is a
+/// stderr warning naming it, and the group starts from zero on freshly
+/// built state. Returns the lane's member results plus the number of
 /// instructions the interpreter executed.
 fn sample_kernel_group(
     kernel: KernelKind,
@@ -1276,26 +1326,23 @@ fn sample_kernel_group(
     let mut executed = 0u64;
     let mut warmup_done = 0u64;
     if let Some(ctx) = ckpt.filter(|ctx| ctx.cfg.resume) {
-        let loaded: Option<Vec<Checkpoint>> =
-            keys.iter().map(|key| load_cell_checkpoint(ctx, key)).collect();
-        if let Some(saved) =
-            loaded.filter(|s| s.iter().all(|c| c.inst_index == s[0].inst_index))
-        {
-            for (m, (c, key)) in saved.iter().zip(&keys).enumerate() {
-                let (cur, p, w, us) = restore_kernel_cell(c, &mut arch, &mut machines[m])
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "checkpoint {} failed to restore: {e}; \
-                             delete the file or rerun without --resume",
-                            ckpt_path(ctx, key).display()
-                        )
-                    });
-                cursor = cur;
-                probes[m] = Some(p);
-                warmup_done = w;
-                units[m] = us;
+        match resume_kernel_group(ctx, &keys, &mut arch, machines) {
+            Ok(Some(resumed)) => {
+                cursor = resumed.cursor;
+                probes = resumed.probes.into_iter().map(Some).collect();
+                units = resumed.units;
+                warmup_done = resumed.warmup_done;
+                executed = resumed.executed;
             }
-            executed = saved[0].inst_index;
+            Ok(None) => {}
+            Err(msg) => {
+                eprintln!("warning: {msg}; the group starts over");
+                // A failed restore may have written part of a file's state.
+                arch = build_kernel(kernel, *isa, &params).machine;
+                for machine in machines.iter_mut() {
+                    *machine = SimMachine::new(machine.descriptor().clone());
+                }
+            }
         }
     }
     let mut last_saved = executed;
@@ -1385,10 +1432,17 @@ fn sample_kernel_group(
 /// Run one application fan-out group in sampled mode: [`stream_app_multi`]
 /// drives one [`Broadcast`] of [`SampledSink`]s per ISA lane, so the scalar
 /// phases interpret once for all lanes and every member samples its own
-/// copy of its lane's stream. App groups do not checkpoint: their
-/// wall-clock is interpreter-bound either way (the interpretation is
-/// complete; only the detailed simulation is sampled), and the multi-phase
-/// app drivers have no externally resumable cursor.
+/// copy of its lane's stream.
+///
+/// Every phase program runs through `stream_with_fuel`, which asks its sink
+/// for a [`Demand`] between windows. A lane's `Broadcast` skips while all of
+/// its members sit in the fast-forwarded tail of their periods, and a
+/// shared scalar phase skips while every member of every lane does; the
+/// skipped instructions execute on the functional handlers and are only
+/// counted. A member's result therefore equals the one a fully detailed
+/// drive would give: the instructions it skips are ones it would have
+/// dropped. App groups do not checkpoint: the multi-phase app drivers have
+/// no externally resumable cursor.
 fn sample_app_group(
     app: AppKind,
     grid: &GridSpec,
@@ -1435,15 +1489,18 @@ fn sample_app_group(
 /// those inside the detailed warm-up + measurement window at the head of
 /// each sampling period, snapshotting the stream around each unit.
 ///
-/// This deliberately violates the faithful-sink convention of [`TraceSink`]
-/// (every other sink forwards the complete stream in order): skipping the
-/// tail of each period *is* the sampling. Application workloads run through
-/// this adapter because their interpreters drive the sink callback-style and
-/// cannot be windowed externally the way pre-decoded kernels can — the
-/// functional interpretation stays complete; only the timing simulator sees
-/// a sample. Unlike the kernel path the stream is never closed mid-run, so
-/// unit deltas are measured between lagging snapshots (both ends lag by the
-/// in-flight ROB, so the window length is preserved).
+/// Application workloads run through this adapter because their
+/// interpreters drive the sink callback-style and cannot be windowed
+/// externally the way pre-decoded kernels can. The adapter windows them
+/// from the inside instead: its [`TraceSink::demand`] answers from its
+/// period position — `Detail` up to the end of the current window, `Skip`
+/// over the rest of the period — so the producer fast-forwards the tail
+/// and reports it through [`TraceSink::skip`], which only advances the
+/// position. Instructions emitted in the tail anyway (a group-mate wanted
+/// detail) are counted and dropped. Unlike the kernel path the stream is
+/// never closed mid-run, so unit deltas are measured between lagging
+/// snapshots (both ends lag by the in-flight ROB, so the window length is
+/// preserved).
 struct SampledSink<'m> {
     stream: SimStream<'m, AttributionProbe>,
     sp: SamplingParams,
@@ -1463,7 +1520,7 @@ impl<'m> SampledSink<'m> {
 
     fn step(&mut self, inst: &DynInst) {
         let in_warmup = self.pos < self.sp.warmup;
-        let in_unit = !in_warmup && self.pos < self.sp.warmup + self.sp.unit;
+        let in_unit = !in_warmup && self.pos < self.window();
         if in_unit && self.unit_open.is_none() {
             self.unit_open = Some(self.stream.snapshot());
         }
@@ -1475,12 +1532,18 @@ impl<'m> SampledSink<'m> {
         }
         self.pos += 1;
         self.executed += 1;
-        if self.pos == self.sp.warmup + self.sp.unit {
+        if self.pos == self.window() {
             self.close_unit();
         }
         if self.pos == self.sp.period {
             self.pos = 0;
         }
+    }
+
+    /// Length of the detailed warm-up + measurement window at the head of
+    /// every period.
+    fn window(&self) -> u64 {
+        self.sp.warmup + self.sp.unit
     }
 
     fn close_unit(&mut self) {
@@ -1515,6 +1578,25 @@ impl TraceSink for SampledSink<'_> {
     fn emit_batch(&mut self, batch: &[DynInst]) {
         for inst in batch {
             self.step(inst);
+        }
+    }
+
+    fn demand(&self) -> Demand {
+        if self.pos < self.window() {
+            Demand::Detail(self.window() - self.pos)
+        } else {
+            Demand::Skip(self.sp.period - self.pos)
+        }
+    }
+
+    /// Advance through the tail of the period without feeding the stream:
+    /// exactly what `n` calls of `step` do there.
+    fn skip(&mut self, n: u64) {
+        debug_assert!(self.pos >= self.window() && self.pos + n <= self.sp.period);
+        self.pos += n;
+        self.executed += n;
+        if self.pos == self.sp.period {
+            self.pos = 0;
         }
     }
 }
@@ -2546,5 +2628,72 @@ mod tests {
         assert_eq!(scaled.committed, 1200);
         assert_eq!(scaled.cycles, 800);
         assert_eq!(scaled.branches, 120);
+    }
+
+    /// A sampling sink behind an adapter that keeps the default demand, so
+    /// its producer emits every instruction and never fast-forwards.
+    struct AlwaysDetailed<'m>(SampledSink<'m>);
+
+    impl TraceSink for AlwaysDetailed<'_> {
+        fn emit(&mut self, inst: DynInst) {
+            self.0.emit(inst);
+        }
+
+        fn emit_ref(&mut self, inst: &DynInst) {
+            self.0.emit_ref(inst);
+        }
+
+        fn emit_batch(&mut self, insts: &[DynInst]) {
+            self.0.emit_batch(insts);
+        }
+    }
+
+    #[test]
+    fn app_groups_skipping_the_tails_equal_fully_detailed_drives() {
+        let spec = ExperimentSpec::builtin("figure7", 1, true).unwrap();
+        let ExperimentKind::Grid(grid) = &spec.kind else { panic!("figure7 is a grid") };
+        let cells = grid.cells();
+        let sp = SamplingParams { unit: 50, warmup: 50, period: 400 };
+        let machines_for = |group: &FanGroup| -> Vec<Vec<SimMachine>> {
+            group
+                .lanes
+                .iter()
+                .map(|(_, members)| {
+                    members.iter().map(|&ci| descriptor_for(grid, &cells, ci).build()).collect()
+                })
+                .collect()
+        };
+        let mut app_groups = 0;
+        for group in fanout_groups(grid, &cells) {
+            let Workload::App(app) = group.workload else { continue };
+            app_groups += 1;
+            let mut machines = machines_for(&group);
+            let (skipping, interpreted) = sample_app_group(app, grid, &group, &mut machines, sp);
+
+            let mut machines = machines_for(&group);
+            let mut lanes: Vec<(IsaKind, Broadcast<AlwaysDetailed<'_>>)> = group
+                .lanes
+                .iter()
+                .zip(machines.iter_mut())
+                .map(|((isa, _), ms)| {
+                    let sinks = ms.iter_mut().map(|m| AlwaysDetailed(SampledSink::new(m.sim_probed(), sp)));
+                    (*isa, Broadcast::new(sinks.collect()))
+                })
+                .collect();
+            let params = AppParams { seed: grid.seed, scale: grid.scale };
+            let (_, detailed_interpreted) = stream_app_multi(app, &params, &mut lanes).unwrap();
+            assert_eq!(interpreted, detailed_interpreted, "{app}: interpreted counts differ");
+            let detailed: Vec<Vec<_>> = lanes
+                .into_iter()
+                .map(|(_, fan)| fan.into_inner().into_iter().map(|s| s.0.finish()).collect())
+                .collect();
+            let skipping: Vec<Vec<_>> = skipping
+                .into_iter()
+                .map(|lane| lane.into_iter().map(|c| (c.sim, c.probe, c.sampling.unwrap())).collect())
+                .collect();
+            assert!(skipping.iter().flatten().all(|(_, _, s)| s.units_measured > 1), "{app}: units");
+            assert_eq!(skipping, detailed, "{app}: skipping changed a member's result");
+        }
+        assert!(app_groups > 0, "fast figure7 has application groups");
     }
 }

@@ -20,7 +20,10 @@
 //!   one member of a group lost its file and the group starts over.
 //! * **Checkpoint I/O failures keep the run**: a checkpoint directory or
 //!   file that cannot be written is a warning, and the run's results equal
-//!   those of a run without checkpoints.
+//!   those of a run without checkpoints. So is a checkpoint file that
+//!   cannot be resumed from: its group starts over.
+//! * **The committed sampled baselines reproduce**: `stress` and `figure7`
+//!   at the CI knobs serialize to `baselines/sampled/` byte for byte.
 
 mod support;
 
@@ -35,6 +38,23 @@ use mom_lab::spec::{ExperimentKind, ExperimentSpec};
 /// alternate between detailed and fast-forwarded execution several times.
 const SMALL_SAMPLED: ExecMode =
     ExecMode::Sampled { unit_insts: 100, warmup_insts: 100, period: 500 };
+
+/// The knobs `baselines/sampled/` was generated with (`--sample-unit 50
+/// --sample-warmup 50 --sample-period 400`, fast mode).
+const CI_SAMPLED: ExecMode = ExecMode::Sampled { unit_insts: 50, warmup_insts: 50, period: 400 };
+
+#[test]
+fn sampled_baselines_reproduce_byte_for_byte() {
+    for name in ["stress", "figure7"] {
+        let path = format!("{}/../../baselines/sampled/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path).expect("committed sampled baseline");
+        let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
+        for workers in [1, 2] {
+            let run = run_with_mode(&spec, workers, CI_SAMPLED).results_json().to_pretty();
+            assert!(run == committed, "{name} at {workers} worker(s) differs from {path}");
+        }
+    }
+}
 
 #[test]
 fn rate1_sampled_matches_the_trace_replay_oracle_for_every_builtin() {
@@ -232,4 +252,35 @@ fn unwritable_checkpoints_warn_and_keep_the_run() {
     assert_eq!(reference, run.results_json().to_pretty(), "an uncreatable checkpoint dir changed the results");
 
     std::fs::remove_dir_all(&base).expect("cleanup");
+}
+
+#[test]
+fn bad_checkpoints_under_resume_restart_their_group() {
+    let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
+    let dir = std::env::temp_dir().join(format!("momlab-bad-ckpt-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reference = run_with_mode(&spec, 2, SMALL_SAMPLED).results_json().to_pretty();
+    let cfg = CheckpointConfig { dir: dir.clone(), resume: false };
+    run_with_options(&spec, 2, SMALL_SAMPLED, false, Some(&cfg));
+    let mut ckpts: Vec<_> = std::fs::read_dir(&dir)
+        .expect("checkpoint dir exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .collect();
+    ckpts.sort();
+    assert!(ckpts.len() >= 2, "figure5 writes a checkpoint per cell");
+    let (truncated, garbage) = (&ckpts[0], &ckpts[1]);
+    let intact = std::fs::read(truncated).expect("read checkpoint");
+
+    let cfg = CheckpointConfig { dir: dir.clone(), resume: true };
+    for cut in [0, intact.len() / 2, intact.len() - 1] {
+        // The restarted groups rewrite their files, so corrupt them afresh.
+        std::fs::write(truncated, &intact[..cut]).expect("truncate checkpoint");
+        std::fs::write(garbage, b"MOMCKPT\0 but not really a checkpoint").expect("write garbage");
+        let resumed = run_with_options(&spec, 2, SMALL_SAMPLED, false, Some(&cfg));
+        assert_eq!(reference, resumed.results_json().to_pretty(), "resume over a file cut at {cut} diverged");
+        assert_eq!(std::fs::read(truncated).expect("rewritten"), intact, "the group rewrote its file");
+    }
+
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
